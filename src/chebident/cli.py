@@ -21,7 +21,7 @@ import sys
 from chebident.families import Family, FamilySpec, family_poly
 from chebident.report import VerificationReport
 from chebident.triangle import triangle_recurrence, verify_defining_relation
-from chebident.verify import IdentityId, run_suite
+from chebident.verify import IdentityId, run_suite, suite_cells
 
 _FORMATS = ["pretty", "json", "csv"]
 
@@ -142,6 +142,12 @@ def _cmd_verify(args, parser) -> int:
         identities = list(IdentityId)
     else:
         identities = [IdentityId(args.identity)]
+    empty = [i.value for i in identities if not suite_cells(i, args.n_max, args.N_max)]
+    if empty:
+        parser.error(
+            f"--n-max {args.n_max} --N-max {args.N_max} selects no cells for "
+            + ", ".join(empty)
+        )
     report = run_suite(
         identities,
         n_max=args.n_max,

@@ -1,22 +1,24 @@
-"""The five polynomial families and their convolution powers.
+"""The polynomial families and their convolution powers, from one recurrence.
 
-Base sequences come from three-term recurrences:
+The order-alpha power of every family has the generating function
+q(t)^alpha (1 - 2xt + t^2)^(-lambda) (DLMF 18.12), with
 
-    U, V, W, T_classical:  P_{n+1} = 2x P_n - P_{n-1}
-        seeds  U: 1, 2x      V: 1, 2x-1      W: 1, 2x+1      T_classical: 1, x
-    Legendre:  (n+1) p_{n+1} = (2n+1) x p_n - n p_{n-1},  seeds 1, x
+    kind         numerator q(t)   lambda      order 1
+    U            1                alpha       U_n = C_n^(1)
+    V, W         1 - t, 1 + t     alpha       third and fourth kind
+    T_gf         1 - t^2          alpha       T~_0 = 1, T~_n = 2 T_n (n >= 1)
+    T_classical  1 - xt           alpha       T_n
+    Legendre     1                alpha / 2   p_n = C_n^(1/2)
 
-`T_gf` is the first-kind sequence in generating-function normalization:
-the coefficients of (1-t^2)/(1-2xt+t^2), i.e. T~_0 = 1, T~_1 = U_1 and
-T~_n = U_n - U_{n-2}; equivalently T~_n = 2 T_n for n >= 1.  The two
-normalizations are deliberately separate families: mixing them up shifts
-every identity by factors of 2.
+Gegenbauer rows come from  m C_m = 2(m+lambda-1) x C_{m-1} - (m+2lambda-2)
+C_{m-2}, C_0 = 1, with integer coefficients kept as int.  Row m of a family
+is the filter sum_k [t^k] q(t)^alpha * C_{m-k}, at most alpha+1 taps.
 
-Order alpha >= 2 means the alpha-fold convolution power of the base
-sequence, i.e. the t^n coefficients of the alpha-th power of the base
-generating function.  Rows are cached per (kind, alpha) and extended
-lazily; the cache is append-only behind a lock, and returned polynomials
-are immutable.
+T_gf and T_classical are deliberately separate families: mixing them up
+shifts every identity by factors of 2.  FamilySpec allows T_classical at
+order 1 only; thm7's normalization guard reads higher orders via `_rows`.
+Rows are cached per lambda and per (kind, alpha), extended lazily and
+append-only behind a lock; returned polynomials are immutable.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 from chebident.exact import binomial
 from chebident.laurent import LaurentPoly
@@ -65,66 +68,50 @@ class FamilySpec:
 
 
 _X = LaurentPoly.x_power(1)
-_TWO_X = LaurentPoly.x_power(1, 2)
 
-_SEEDS = {
-    Family.U: (LaurentPoly.one(), _TWO_X),
-    Family.V: (LaurentPoly.one(), LaurentPoly({1: 2, 0: -1})),
-    Family.W: (LaurentPoly.one(), LaurentPoly({1: 2, 0: 1})),
-    Family.T_CLASSICAL: (LaurentPoly.one(), _X),
-    Family.LEGENDRE: (LaurentPoly.one(), _X),
+# kind -> (c, e, d, h): numerator q(t) = 1 + c x^e t^d, lambda = alpha / h
+_TABLE = {
+    Family.U: (0, 0, 0, 1),
+    Family.V: (-1, 0, 1, 1),
+    Family.W: (1, 0, 1, 1),
+    Family.T_GF: (-1, 0, 2, 1),
+    Family.T_CLASSICAL: (-1, 1, 1, 1),
+    Family.LEGENDRE: (0, 0, 0, 2),
 }
 
+_gegenbauer: dict[int | Fraction, list[LaurentPoly]] = {}
 _cache: dict[tuple[Family, int], list[LaurentPoly]] = {}
 _lock = threading.Lock()
 
 
-def _extend_base(kind: Family, rows: list[LaurentPoly], n: int) -> None:
-    if kind is Family.T_GF:
-        u = _rows_locked(Family.U, 1, n)
-        if not rows:
-            rows.append(LaurentPoly.one())
-        if len(rows) == 1 and n >= 1:
-            rows.append(u[1])
-        for m in range(len(rows), n + 1):
-            rows.append(u[m] - u[m - 2])
-        return
-    if not rows:
-        rows.extend(_SEEDS[kind])
-    for m in range(len(rows) - 1, n):
-        if kind is Family.LEGENDRE:
-            nxt = ((2 * m + 1) * (_X * rows[m]) - m * rows[m - 1]) / (m + 1)
-        else:
-            nxt = _TWO_X * rows[m] - rows[m - 1]
-        rows.append(nxt)
-
-
-def _extend_convolution(
-    base: list[LaurentPoly], prev: list[LaurentPoly], rows: list[LaurentPoly], n: int
-) -> None:
+def _gegenbauer_rows(lam, n: int) -> list[LaurentPoly]:
+    # Caller holds _lock.
+    rows = _gegenbauer.setdefault(lam, [LaurentPoly.one()])
     for m in range(len(rows), n + 1):
-        acc = LaurentPoly.zero()
-        for j in range(m + 1):
-            acc = acc + base[j] * prev[m - j]
-        rows.append(acc)
+        acc = (2 * (m + lam - 1)) * rows[m - 1].shift(1)
+        if m >= 2:
+            acc = acc - (m + 2 * lam - 2) * rows[m - 2]
+        # The constructor turns integral Fractions back into int.
+        rows.append(LaurentPoly((acc / m).terms))
+    return rows
 
 
 def _rows(kind: Family, alpha: int, n: int) -> list[LaurentPoly]:
+    """Rows 0..n (at least) of the order-alpha power of any family."""
     with _lock:
-        return _rows_locked(kind, alpha, n)
-
-
-def _rows_locked(kind: Family, alpha: int, n: int) -> list[LaurentPoly]:
-    # Caller holds _lock; recursion stays lock-free.
-    rows = _cache.setdefault((kind, alpha), [])
-    if len(rows) <= n:
-        if alpha == 1:
-            _extend_base(kind, rows, n)
-        else:
-            _extend_convolution(
-                _rows_locked(kind, 1, n), _rows_locked(kind, alpha - 1, n), rows, n
-            )
-    return rows
+        rows = _cache.setdefault((kind, alpha), [])
+        if len(rows) <= n:
+            c, e, d, h = _TABLE[kind]
+            lam = alpha // h if alpha % h == 0 else Fraction(alpha, h)
+            base = _gegenbauer_rows(lam, n)
+            taps = [(binomial(alpha, k) * c**k, e * k, d * k) for k in range(alpha + 1)]
+            for m in range(len(rows), n + 1):
+                acc = LaurentPoly.zero()
+                for coef, shift, lag in taps:
+                    if coef and lag <= m:
+                        acc = acc + coef * base[m - lag].shift(shift)
+                rows.append(acc)
+        return rows
 
 
 def family_poly(spec: FamilySpec, n: int) -> LaurentPoly:

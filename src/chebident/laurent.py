@@ -20,8 +20,8 @@ __all__ = ["LaurentPoly"]
 
 
 def _as_coeff(c):
-    """Normalize an input coefficient to int or Fraction; reject inexact types."""
-    if isinstance(c, int):
+    """Normalize an input coefficient to int or Fraction; reject other types."""
+    if isinstance(c, int) and not isinstance(c, bool):
         return c
     if isinstance(c, Fraction):
         return int(c) if c.denominator == 1 else c

@@ -44,7 +44,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from chebident.exact import binomial, falling_factorial
-from chebident.families import Family, FamilySpec, family_poly
+from chebident.families import Family, FamilySpec, _rows, family_poly
 from chebident.laurent import LaurentPoly
 from chebident.report import ReportEntry, VerificationReport
 from chebident.triangle import triangle_recurrence
@@ -54,6 +54,7 @@ __all__ = [
     "compositions3",
     "run_suite",
     "sample_points",
+    "suite_cells",
     "verify_cor3",
     "verify_cor4_reconstructed",
     "verify_intro_U_from_T",
@@ -115,17 +116,6 @@ def _legendre_selfconv(k: int) -> LaurentPoly:
     total = LaurentPoly.zero()
     for j in range(k + 1):
         total = total + _p(j) * _p(k - j)
-    return total
-
-
-@lru_cache(maxsize=None)
-def _classical_t_power(alpha: int, n: int) -> LaurentPoly:
-    """alpha-fold convolution power of the classical first-kind sequence."""
-    if alpha == 1:
-        return family_poly(FamilySpec(Family.T_CLASSICAL), n)
-    total = LaurentPoly.zero()
-    for j in range(n + 1):
-        total = total + _classical_t_power(1, j) * _classical_t_power(alpha - 1, n - j)
     return total
 
 
@@ -242,7 +232,8 @@ def _sides_thm7(n: int, N: int, first_kind: str = "gf"):
             return family_poly(FamilySpec(Family.T_CLASSICAL), p)
 
         def higher(p):
-            return _classical_t_power(N + 1, p)
+            # FamilySpec keeps T_classical at order 1; the guard reads the table.
+            return _rows(Family.T_CLASSICAL, N + 1, p)[p]
 
     else:
         raise ValueError(f"first_kind must be 'gf' or 'classical', got {first_kind!r}")
@@ -290,6 +281,15 @@ def _default_points() -> tuple:
     return _DEFAULT_POINTS
 
 
+def _check_indices(n: int, **orders: int) -> None:
+    """Reject n < 0 and any order (N or alpha) < 1: their sums would be empty."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    for name, value in orders.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def _finish(
     identity: str,
     n: int,
@@ -324,6 +324,7 @@ def _finish(
 
 
 def verify_intro_U_from_T(n: int, mode: str = "symbolic", points=None) -> ReportEntry:
+    _check_indices(n)
     start = time.perf_counter()
     lhs, rhs = _sides_intro(n)
     return _finish("intro_U_from_T", n, 0, lhs, rhs, mode, False, start, points)
@@ -332,8 +333,7 @@ def verify_intro_U_from_T(n: int, mode: str = "symbolic", points=None) -> Report
 def verify_U_from_Legendre(
     n: int, alpha: int = 1, mode: str = "symbolic", points=None
 ) -> ReportEntry:
-    if alpha < 1:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    _check_indices(n, alpha=alpha)
     start = time.perf_counter()
     lhs, rhs = _sides_u_from_legendre(n, alpha)
     identity = "U_from_Legendre" if alpha == 1 else "Ualpha_from_Legendre"
@@ -341,12 +341,14 @@ def verify_U_from_Legendre(
 
 
 def verify_thm2(n: int, N: int, mode: str = "symbolic", points=None) -> ReportEntry:
+    _check_indices(n, N=N)
     start = time.perf_counter()
     lhs, rhs = _sides_thm2(n, N)
     return _finish("thm2", n, N, lhs, rhs, mode, True, start, points)
 
 
 def verify_cor3(n: int, N: int, mode: str = "symbolic", points=None) -> ReportEntry:
+    _check_indices(n, N=N)
     start = time.perf_counter()
     lhs, rhs = _sides_cor3(n, N)
     return _finish("cor3", n, N, lhs, rhs, mode, True, start, points)
@@ -355,18 +357,21 @@ def verify_cor3(n: int, N: int, mode: str = "symbolic", points=None) -> ReportEn
 def verify_cor4_reconstructed(
     n: int, N: int, mode: str = "symbolic", points=None
 ) -> ReportEntry:
+    _check_indices(n, N=N)
     start = time.perf_counter()
     lhs, rhs = _sides_cor4(n, N)
     return _finish("cor4_reconstructed", n, N, lhs, rhs, mode, True, start, points)
 
 
 def verify_thm5(n: int, N: int, mode: str = "symbolic", points=None) -> ReportEntry:
+    _check_indices(n, N=N)
     start = time.perf_counter()
     lhs, rhs = _sides_thm5(n, N)
     return _finish("thm5", n, N, lhs, rhs, mode, True, start, points)
 
 
 def verify_thm6(n: int, N: int, mode: str = "symbolic", points=None) -> ReportEntry:
+    _check_indices(n, N=N)
     start = time.perf_counter()
     lhs, rhs = _sides_thm6(n, N)
     return _finish("thm6", n, N, lhs, rhs, mode, True, start, points)
@@ -375,6 +380,7 @@ def verify_thm6(n: int, N: int, mode: str = "symbolic", points=None) -> ReportEn
 def verify_thm7(
     n: int, N: int, mode: str = "symbolic", points=None, first_kind: str = "gf"
 ) -> ReportEntry:
+    _check_indices(n, N=N)
     start = time.perf_counter()
     lhs, rhs = _sides_thm7(n, N, first_kind)
     return _finish("thm7", n, N, lhs, rhs, mode, True, start, points)
@@ -383,7 +389,7 @@ def verify_thm7(
 # -- suite runner -----------------------------------------------------------------
 
 
-def _suite_cells(identity: IdentityId, n_max: int, N_max: int):
+def suite_cells(identity: IdentityId, n_max: int, N_max: int):
     """Deterministic (N, n) grid per identity; N doubles as alpha where noted."""
     if identity is IdentityId.INTRO_U_FROM_T:
         return [(0, n) for n in range(n_max + 1)]
@@ -413,7 +419,7 @@ def run_suite(
     selected = [i for i in IdentityId if i in {IdentityId(x) for x in identities}]
     report = VerificationReport()
     for identity in selected:
-        for N, n in _suite_cells(identity, n_max, N_max):
+        for N, n in suite_cells(identity, n_max, N_max):
             if identity is IdentityId.INTRO_U_FROM_T:
                 entry = verify_intro_U_from_T(n, mode, points)
             elif identity in (IdentityId.U_FROM_LEGENDRE, IdentityId.UALPHA_FROM_LEGENDRE):

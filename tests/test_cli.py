@@ -149,6 +149,14 @@ class TestVerify:
         assert out == ""
         assert json.loads(path.read_text())[0]["identity"] == "thm6"
 
+    @pytest.mark.parametrize("identity", ["thm2", "Ualpha_from_Legendre", "all"])
+    def test_empty_grid_is_usage_error(self, capsys, identity):
+        code = run(["verify", identity, "--n-max", "3", "--N-max", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "selects no cells" in captured.err
+
     def test_unknown_identity_is_usage_error(self, capsys):
         code = run(["verify", "thm9", "--n-max", "1", "--N-max", "1"])
         capsys.readouterr()

@@ -6,6 +6,7 @@ from chebident.exact import binomial
 from chebident.families import (
     Family,
     FamilySpec,
+    _rows,
     explicit_T,
     family_poly,
     family_polys,
@@ -86,6 +87,22 @@ class TestNormalizationBridge:
         assert poly(Family.T_GF, 1) == u[1]
         for n in range(2, 21):
             assert poly(Family.T_GF, n) == u[n] - u[n - 2]
+
+
+class TestClassicalPowers:
+    def test_match_explicit_convolution(self):
+        # Reference for the higher classical orders read by thm7's
+        # first_kind="classical" guard: alpha-fold convolution of T_n.
+        n_max = 12
+        base = family_polys(FamilySpec(Family.T_CLASSICAL), n_max)
+        power = base
+        for alpha in range(1, 5):
+            if alpha > 1:
+                power = [
+                    sum((base[j] * power[m - j] for j in range(m + 1)), LaurentPoly.zero())
+                    for m in range(n_max + 1)
+                ]
+            assert _rows(Family.T_CLASSICAL, alpha, n_max)[: n_max + 1] == power
 
 
 class TestSeriesOracle:

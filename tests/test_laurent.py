@@ -108,6 +108,10 @@ class TestCanonicalForm:
         with pytest.raises(TypeError):
             lp({1: 0.5})
 
+    def test_constructor_rejects_bools(self):
+        with pytest.raises(TypeError):
+            lp({0: True})
+
     def test_int_fraction_coefficients_compare_equal(self):
         assert lp({0: 3}) == lp({0: Fraction(3, 1)})
         assert hash(lp({0: 3})) == hash(lp({0: Fraction(3, 1)}))

@@ -192,6 +192,33 @@ class TestNumericMode:
             verify_thm2(1, 1, mode="float")
 
 
+class TestIndexValidation:
+    # An empty sum would otherwise certify as PASS.
+    @pytest.mark.parametrize(
+        "check,args,name",
+        [
+            (verify_intro_U_from_T, (-1,), "n"),
+            (verify_U_from_Legendre, (-1, 1), "n"),
+            (verify_U_from_Legendre, (2, 0), "alpha"),
+        ]
+        + [
+            (check, args, name)
+            for check in (
+                verify_thm2,
+                verify_cor3,
+                verify_cor4_reconstructed,
+                verify_thm5,
+                verify_thm6,
+                verify_thm7,
+            )
+            for args, name in (((-1, 2), "n"), ((3, 0), "N"))
+        ],
+    )
+    def test_rejects_bad_index(self, check, args, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be >= "):
+            check(*args)
+
+
 class TestRunSuite:
     def test_full_grid_passes(self):
         report = run_suite(ALL_IDS, n_max=8, N_max=3)
