@@ -13,7 +13,6 @@ The package computes, in exact rational arithmetic:
     catalog of convolution identities linking all of the above.
 """
 
-from chebident._backend import kernel_backend
 from chebident.exact import BigRational, binomial, double_factorial, falling_factorial
 from chebident.families import (
     Family,
@@ -75,7 +74,6 @@ __all__ = [
     "family_poly",
     "family_polys",
     "gf_expand",
-    "kernel_backend",
     "ode_residual",
     "run_suite",
     "sample_points",

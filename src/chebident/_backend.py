@@ -1,52 +1,112 @@
-"""Kernel backend selection.
+"""Hot arithmetic kernels on term maps.
 
-By default the compiled kernels are used when the extension built,
-falling back to the pure-Python module otherwise.  The environment
-variable CHEBIDENT_KERNELS overrides the choice:
+A Laurent polynomial is represented by a dict mapping integer exponents to
+nonzero exact coefficients (int or Fraction).  A truncated series is a
+list of such dicts indexed by the power of t.  These are the package's
+only kernels and carry essentially all of its runtime.  `laurent` and
+`series` call them through this module's attributes, so a profiler can
+wrap them here; the module keeps its name for that reason.
 
-    auto     compiled if available, else pure Python (default)
-    c        require the compiled kernels (ImportError if missing)
-    python   force the pure-Python kernels
-
-Both implementations are behaviorally identical; tests compare them
-directly.
+Returned dicts are always canonical (no zero coefficients) except for
+`iadd_scaled_shifted`, whose accumulator the caller prunes once at the
+end via `prune_zeros`.
 """
 
 from __future__ import annotations
 
-import os
 
-_choice = os.environ.get("CHEBIDENT_KERNELS", "auto").strip().lower()
-
-if _choice in ("auto", "", "c", "compiled"):
-    try:
-        from chebident import _kernels_c as _impl
-
-        KERNEL_BACKEND = "c"
-    except ImportError:
-        if _choice in ("c", "compiled"):
-            raise
-        from chebident import _kernels_py as _impl
-
-        KERNEL_BACKEND = "python"
-elif _choice in ("python", "py", "pure"):
-    from chebident import _kernels_py as _impl
-
-    KERNEL_BACKEND = "python"
-else:
-    raise ValueError(
-        f"CHEBIDENT_KERNELS={_choice!r}: expected 'auto', 'c' or 'python'"
-    )
-
-add_terms = _impl.add_terms
-sub_terms = _impl.sub_terms
-scale_terms = _impl.scale_terms
-mul_terms = _impl.mul_terms
-iadd_scaled_shifted = _impl.iadd_scaled_shifted
-prune_zeros = _impl.prune_zeros
-cauchy_mul = _impl.cauchy_mul
+def add_terms(a, b):
+    """Canonical sum of two term maps."""
+    if not a:
+        return dict(b)
+    if not b:
+        return dict(a)
+    out = dict(a)
+    for e, c in b.items():
+        v = out.get(e)
+        if v is None:
+            out[e] = c
+        else:
+            v = v + c
+            if v:
+                out[e] = v
+            else:
+                del out[e]
+    return out
 
 
-def kernel_backend() -> str:
-    """Which kernel implementation is active: 'c' or 'python'."""
-    return KERNEL_BACKEND
+def sub_terms(a, b):
+    """Canonical difference a - b of two term maps."""
+    if not b:
+        return dict(a)
+    out = dict(a)
+    for e, c in b.items():
+        v = out.get(e)
+        if v is None:
+            out[e] = -c
+        else:
+            v = v - c
+            if v:
+                out[e] = v
+            else:
+                del out[e]
+    return out
+
+
+def scale_terms(a, c):
+    """c * a for a scalar c; the zero scalar yields the empty map."""
+    if not c:
+        return {}
+    return {e: v * c for e, v in a.items()}
+
+
+def mul_terms(a, b):
+    """Exact convolution of two term maps (exponents add)."""
+    if not a or not b:
+        return {}
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            v = out.get(e)
+            out[e] = ca * cb if v is None else v + ca * cb
+    return {e: v for e, v in out.items() if v}
+
+
+def iadd_scaled_shifted(acc, src, c, k):
+    """In place: acc += c * x^k * src.  May leave explicit zeros in acc."""
+    for e, v in src.items():
+        e2 = e + k
+        w = acc.get(e2)
+        acc[e2] = v * c if w is None else w + v * c
+
+
+def prune_zeros(d):
+    """Drop zero coefficients, restoring canonical form."""
+    return {e: v for e, v in d.items() if v}
+
+
+def cauchy_mul(a, b, order):
+    """Cauchy product of two coefficient lists, truncated at ``order``.
+
+    out[m] = sum_{j=0..m} a[j] * b[m-j], each entry a term map.
+    """
+    out = []
+    for m in range(order + 1):
+        acc = {}
+        for j in range(m + 1):
+            aj = a[j]
+            bj = b[m - j]
+            if not aj or not bj:
+                continue
+            if len(aj) > len(bj):
+                aj, bj = bj, aj
+            for ea, ca in aj.items():
+                for eb, cb in bj.items():
+                    e = ea + eb
+                    v = acc.get(e)
+                    acc[e] = ca * cb if v is None else v + ca * cb
+        out.append({e: v for e, v in acc.items() if v})
+    return out

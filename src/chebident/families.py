@@ -106,11 +106,13 @@ def _rows(kind: Family, alpha: int, n: int) -> list[LaurentPoly]:
             base = _gegenbauer_rows(lam, n)
             taps = [(binomial(alpha, k) * c**k, e * k, d * k) for k in range(alpha + 1)]
             for m in range(len(rows), n + 1):
-                acc = LaurentPoly.zero()
-                for coef, shift, lag in taps:
-                    if coef and lag <= m:
-                        acc = acc + coef * base[m - lag].shift(shift)
-                rows.append(acc)
+                rows.append(
+                    LaurentPoly.combination(
+                        (coef, shift, base[m - lag])
+                        for coef, shift, lag in taps
+                        if lag <= m
+                    )
+                )
         return rows
 
 

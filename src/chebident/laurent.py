@@ -79,6 +79,21 @@ class LaurentPoly:
         c = _as_coeff(c)
         return cls._raw({e: c} if c else {})
 
+    @classmethod
+    def combination(cls, items) -> "LaurentPoly":
+        """sum c * x^k * p over the (c, k, p) triples in ``items``.
+
+        The weights c are int or Fraction; zero weights are skipped.  The
+        sum is accumulated in one term map and pruned once at the end, so
+        a weighted sum of many polynomials costs one pass over their terms
+        instead of one copy of the growing total per term.
+        """
+        acc: dict = {}
+        for c, k, p in items:
+            if c:
+                _k.iadd_scaled_shifted(acc, p._terms, c, k)
+        return cls._raw(_k.prune_zeros(acc))
+
     # -- structure ---------------------------------------------------------
 
     @property

@@ -102,6 +102,12 @@ def _prefactor(N: int) -> Fraction:
     return Fraction(1, 2**N * math.factorial(N))
 
 
+def _combine(coef: dict, base) -> LaurentPoly:
+    """sum coef[(k, e)] * x^e * base(k), calling base once per distinct k."""
+    bases = {k: base(k) for k in {k for k, _ in coef}}
+    return LaurentPoly.combination((c, e, bases[k]) for (k, e), c in coef.items())
+
+
 @lru_cache(maxsize=None)
 def compositions3(n: int) -> tuple:
     """All ordered triples (m, s, p) of nonnegative integers with m+s+p = n."""
@@ -142,14 +148,14 @@ def _sides_u_from_legendre(n: int, alpha: int):
 
 def _thm2_rhs(n: int, N: int, base=_u) -> LaurentPoly:
     row = triangle_recurrence(N).row(N)
-    total = LaurentPoly.zero()
+    coef: dict = {}
     for i in range(1, N + 1):
         ai = row[i - 1]
         for l in range(n + 1):
+            key = (l + i, i + l - 2 * N - n)
             c = ai * binomial(2 * N + n - l - i - 1, n - l) * falling_factorial(l + i, i)
-            if c:
-                total = total + c * base(l + i).shift(i + l - 2 * N - n)
-    return _prefactor(N) * total
+            coef[key] = coef.get(key, 0) + c
+    return _prefactor(N) * _combine(coef, base)
 
 
 def _sides_thm2(n: int, N: int):
@@ -180,41 +186,46 @@ def _triple_sum(n: int, N: int, base, inner_sign: bool, outer_sign: bool) -> Lau
         x^{i-2N-m} base(p+l)
 
     with sign_out = (-1)^{i-l} when outer_sign and sign_in = (-1)^s when
-    inner_sign.
+    inner_sign.  The integer weights are summed per (p+l, i-2N-m) first.
     """
     row = triangle_recurrence(N).row(N)
-    total = LaurentPoly.zero()
+    triples = compositions3(n)
+    coef: dict = {}
     for i in range(1, N + 1):
         ai = row[i - 1]
+        outer = [binomial(2 * N + m - i - 1, m) for m in range(n + 1)]
         for l in range(i + 1):
             pref = ai * (math.factorial(i) // math.factorial(l))
             if outer_sign and (i - l) % 2:
                 pref = -pref
-            for m, s, p in compositions3(n):
-                c = pref * binomial(2 * N + m - i - 1, m) * binomial(i - l + s, s)
-                c *= falling_factorial(p + l, l)
-                if inner_sign and s % 2:
-                    c = -c
-                if c:
-                    total = total + c * base(p + l).shift(i - 2 * N - m)
-    return total
+            inner = [binomial(i - l + s, s) for s in range(n + 1)]
+            if inner_sign:
+                inner[1::2] = [-c for c in inner[1::2]]
+            fall = [falling_factorial(p + l, l) for p in range(n + 1)]
+            for m, s, p in triples:
+                key = (p + l, i - 2 * N - m)
+                coef[key] = coef.get(key, 0) + pref * outer[m] * inner[s] * fall[p]
+    return _combine(coef, base)
 
 
 def _sides_thm5(n: int, N: int):
-    lhs = LaurentPoly.zero()
-    for l in range(n + 1):
-        lhs = lhs + binomial(N + n - l, n - l) * family_poly(FamilySpec(Family.V, N + 1), l)
+    lhs = LaurentPoly.combination(
+        (binomial(N + n - l, n - l), 0, family_poly(FamilySpec(Family.V, N + 1), l))
+        for l in range(n + 1)
+    )
     rhs = _prefactor(N) * _triple_sum(n, N, _v, inner_sign=False, outer_sign=False)
     return lhs, rhs
 
 
 def _sides_thm6(n: int, N: int):
-    lhs = LaurentPoly.zero()
-    for l in range(n + 1):
-        c = binomial(N + n - l, n - l)
-        if (n - l) % 2:
-            c = -c
-        lhs = lhs + c * family_poly(FamilySpec(Family.W, N + 1), l)
+    lhs = LaurentPoly.combination(
+        (
+            (-1) ** (n - l) * binomial(N + n - l, n - l),
+            0,
+            family_poly(FamilySpec(Family.W, N + 1), l),
+        )
+        for l in range(n + 1)
+    )
     rhs = _prefactor(N) * _triple_sum(n, N, _w, inner_sign=True, outer_sign=True)
     return lhs, rhs
 
@@ -237,13 +248,11 @@ def _sides_thm7(n: int, N: int, first_kind: str = "gf"):
 
     else:
         raise ValueError(f"first_kind must be 'gf' or 'classical', got {first_kind!r}")
-    lhs = LaurentPoly.zero()
+    weights: dict = {}
     for s, m, p in compositions3(n):
-        c = binomial(N + s, s) * binomial(m + N, m)
-        if m % 2:
-            c = -c
-        lhs = lhs + c * higher(p)
-    lhs = (2 ** (N + 1) * math.factorial(N)) * lhs
+        weights[p] = weights.get(p, 0) + (-1) ** m * binomial(N + s, s) * binomial(m + N, m)
+    scale = 2 ** (N + 1) * math.factorial(N)
+    lhs = LaurentPoly.combination((scale * c, 0, higher(p)) for p, c in weights.items())
     rhs = _triple_sum(n, N, base, inner_sign=False, outer_sign=False) + _triple_sum(
         n, N, base, inner_sign=True, outer_sign=True
     )
@@ -253,8 +262,17 @@ def _sides_thm7(n: int, N: int, first_kind: str = "gf"):
 # -- verification drivers --------------------------------------------------------
 
 
+# Distinct nonzero p/q in [-2, 2] with 1 <= q <= 12: 4 * sum_{q<=12} phi(q).
+_POINT_POOL = 184
+
+
 def sample_points(count: int = 20, seed: int = 0) -> tuple:
-    """Deterministic nonzero rational sample points in [-2, 2]."""
+    """``count`` distinct nonzero rationals p/q in [-2, 2], q <= 12, fixed by ``seed``.
+
+    The pool holds 184 such points, so ``count`` must lie in 1..184.
+    """
+    if not 1 <= count <= _POINT_POOL:
+        raise ValueError(f"count must be in 1..{_POINT_POOL}, got {count}")
     rng = random.Random(seed)
     points: list[Fraction] = []
     seen = set()
@@ -281,8 +299,20 @@ def _default_points() -> tuple:
     return _DEFAULT_POINTS
 
 
-def _check_indices(n: int, **orders: int) -> None:
-    """Reject n < 0 and any order (N or alpha) < 1: their sums would be empty."""
+def _check_args(n: int, mode: str, points, **orders: int) -> None:
+    """Reject arguments that would make a cell pass vacuously or fail late.
+
+    n < 0 and any order (N or alpha) < 1 would leave the sums empty, and an
+    empty point set would pass every numeric cell.  x = 0 is rejected
+    because the sides carry negative powers of x.
+    """
+    if mode not in ("symbolic", "numeric"):
+        raise ValueError(f"mode must be 'symbolic' or 'numeric', got {mode!r}")
+    if points is not None:
+        if len(points) == 0:
+            raise ValueError("points must not be empty")
+        if any(x0 == 0 for x0 in points):
+            raise ValueError("points must be nonzero")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     for name, value in orders.items():
@@ -305,12 +335,10 @@ def _finish(
     if mode == "symbolic":
         residual = lhs - rhs
         passed = residual.is_zero()
-    elif mode == "numeric":
+    else:
         residual = None
         pts = points if points is not None else _default_points()
         passed = all(lhs.evaluate(x0) == rhs.evaluate(x0) for x0 in pts)
-    else:
-        raise ValueError(f"mode must be 'symbolic' or 'numeric', got {mode!r}")
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return ReportEntry(
         identity=identity,
@@ -324,7 +352,7 @@ def _finish(
 
 
 def verify_intro_U_from_T(n: int, mode: str = "symbolic", points=None) -> ReportEntry:
-    _check_indices(n)
+    _check_args(n, mode, points)
     start = time.perf_counter()
     lhs, rhs = _sides_intro(n)
     return _finish("intro_U_from_T", n, 0, lhs, rhs, mode, False, start, points)
@@ -333,7 +361,7 @@ def verify_intro_U_from_T(n: int, mode: str = "symbolic", points=None) -> Report
 def verify_U_from_Legendre(
     n: int, alpha: int = 1, mode: str = "symbolic", points=None
 ) -> ReportEntry:
-    _check_indices(n, alpha=alpha)
+    _check_args(n, mode, points, alpha=alpha)
     start = time.perf_counter()
     lhs, rhs = _sides_u_from_legendre(n, alpha)
     identity = "U_from_Legendre" if alpha == 1 else "Ualpha_from_Legendre"
@@ -341,14 +369,14 @@ def verify_U_from_Legendre(
 
 
 def verify_thm2(n: int, N: int, mode: str = "symbolic", points=None) -> ReportEntry:
-    _check_indices(n, N=N)
+    _check_args(n, mode, points, N=N)
     start = time.perf_counter()
     lhs, rhs = _sides_thm2(n, N)
     return _finish("thm2", n, N, lhs, rhs, mode, True, start, points)
 
 
 def verify_cor3(n: int, N: int, mode: str = "symbolic", points=None) -> ReportEntry:
-    _check_indices(n, N=N)
+    _check_args(n, mode, points, N=N)
     start = time.perf_counter()
     lhs, rhs = _sides_cor3(n, N)
     return _finish("cor3", n, N, lhs, rhs, mode, True, start, points)
@@ -357,21 +385,21 @@ def verify_cor3(n: int, N: int, mode: str = "symbolic", points=None) -> ReportEn
 def verify_cor4_reconstructed(
     n: int, N: int, mode: str = "symbolic", points=None
 ) -> ReportEntry:
-    _check_indices(n, N=N)
+    _check_args(n, mode, points, N=N)
     start = time.perf_counter()
     lhs, rhs = _sides_cor4(n, N)
     return _finish("cor4_reconstructed", n, N, lhs, rhs, mode, True, start, points)
 
 
 def verify_thm5(n: int, N: int, mode: str = "symbolic", points=None) -> ReportEntry:
-    _check_indices(n, N=N)
+    _check_args(n, mode, points, N=N)
     start = time.perf_counter()
     lhs, rhs = _sides_thm5(n, N)
     return _finish("thm5", n, N, lhs, rhs, mode, True, start, points)
 
 
 def verify_thm6(n: int, N: int, mode: str = "symbolic", points=None) -> ReportEntry:
-    _check_indices(n, N=N)
+    _check_args(n, mode, points, N=N)
     start = time.perf_counter()
     lhs, rhs = _sides_thm6(n, N)
     return _finish("thm6", n, N, lhs, rhs, mode, True, start, points)
@@ -380,7 +408,7 @@ def verify_thm6(n: int, N: int, mode: str = "symbolic", points=None) -> ReportEn
 def verify_thm7(
     n: int, N: int, mode: str = "symbolic", points=None, first_kind: str = "gf"
 ) -> ReportEntry:
-    _check_indices(n, N=N)
+    _check_args(n, mode, points, N=N)
     start = time.perf_counter()
     lhs, rhs = _sides_thm7(n, N, first_kind)
     return _finish("thm7", n, N, lhs, rhs, mode, True, start, points)
@@ -416,6 +444,7 @@ def run_suite(
     """
     if n_max < 0 or N_max < 0:
         raise ValueError("n_max and N_max must be >= 0")
+    _check_args(n_max, mode, points)
     selected = [i for i in IdentityId if i in {IdentityId(x) for x in identities}]
     report = VerificationReport()
     for identity in selected:

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chebident import _backend
 from chebident.laurent import LaurentPoly
 
 X = LaurentPoly.x_power(1)
@@ -178,3 +180,101 @@ class TestRingAxioms:
     @given(polys, st.integers(-5, 5))
     def test_shift_matches_monomial_mul(self, p, k):
         assert p.shift(k) == p * LaurentPoly.x_power(k)
+
+
+weighted_items = st.lists(st.tuples(coeffs, st.integers(-5, 5), polys), max_size=6)
+
+
+class TestCombination:
+    @given(weighted_items)
+    def test_matches_naive_sum(self, items):
+        naive = LaurentPoly.zero()
+        for c, k, p in items:
+            naive = naive + c * p.shift(k)
+        assert LaurentPoly.combination(items) == naive
+
+    @given(weighted_items)
+    def test_cancels_to_the_zero_polynomial(self, items):
+        negated = [(-c, k, p) for c, k, p in reversed(items)]
+        assert LaurentPoly.combination(items + negated).terms == {}
+
+    def test_zero_weights_are_skipped(self):
+        p = lp({2: 3, -1: Fraction(1, 2)})
+        assert LaurentPoly.combination([(0, 4, p), (Fraction(0), 1, p)]).is_zero()
+        assert LaurentPoly.combination([(0, 0, p), (2, 1, p)]) == 2 * p.shift(1)
+
+    def test_total_cancellation(self):
+        p = lp({3: Fraction(2, 3), 0: -5})
+        q = p.shift(-2)
+        result = LaurentPoly.combination(
+            [(Fraction(3, 2), 1, q), (Fraction(-1, 2), -1, p), (-1, -1, p)]
+        )
+        assert result == LaurentPoly.zero()
+        assert result.terms == {}
+
+
+def random_terms(rng, size=8, rational=False):
+    out = {}
+    for _ in range(rng.randint(0, size)):
+        e = rng.randint(-8, 8)
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 7)) if rational else rng.randint(-9, 9)
+        if c:
+            out[e] = c
+    return out
+
+
+@pytest.fixture(params=[False, True], ids=["int", "fraction"])
+def term_pairs(request):
+    rng = random.Random(7 if request.param else 3)
+    return [
+        (random_terms(rng, rational=request.param), random_terms(rng, rational=request.param))
+        for _ in range(60)
+    ]
+
+
+class TestKernels:
+    """The term-map kernels under LaurentPoly and TruncatedSeries."""
+
+    def test_outputs_are_canonical(self, term_pairs):
+        for a, b in term_pairs:
+            for result in (
+                _backend.add_terms(a, b),
+                _backend.sub_terms(a, b),
+                _backend.mul_terms(a, b),
+                _backend.scale_terms(a, Fraction(-2, 3)),
+            ):
+                assert all(result.values()), result
+
+    def test_inplace_accumulate_then_prune(self, term_pairs):
+        for a, b in term_pairs:
+            acc = dict(a)
+            _backend.iadd_scaled_shifted(acc, b, 3, -2)
+            pruned = _backend.prune_zeros(acc)
+            assert all(pruned.values())
+            assert lp(pruned) == lp(a) + 3 * lp(b).shift(-2)
+
+    def test_cancellation_prunes_entries(self):
+        a = {0: 1, 2: 5}
+        b = {0: -1, 2: -5}
+        assert _backend.add_terms(a, b) == {}
+        assert _backend.sub_terms(a, a) == {}
+        assert _backend.mul_terms(a, {}) == {}
+        assert _backend.scale_terms(a, 0) == {}
+        acc = dict(a)
+        _backend.iadd_scaled_shifted(acc, a, -1, 0)
+        assert _backend.prune_zeros(acc) == {}
+
+    def test_cauchy_mul_is_canonical_convolution(self):
+        rng = random.Random(11)
+        for _ in range(25):
+            order = rng.randint(0, 10)
+            a = [random_terms(rng, size=5) for _ in range(order + 1)]
+            b = [random_terms(rng, size=5, rational=True) for _ in range(order + 1)]
+            out = _backend.cauchy_mul(a, b, order)
+            assert len(out) == order + 1
+            for m, terms in enumerate(out):
+                assert all(terms.values())
+                expected = LaurentPoly.zero()
+                for j in range(m + 1):
+                    expected = expected + lp(a[j]) * lp(b[m - j])
+                assert lp(terms) == expected

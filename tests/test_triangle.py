@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from chebident import triangle
 from chebident.exact import double_factorial, falling_factorial
+from chebident.series import denominator_series
 from chebident.triangle import (
     Triangle,
     a1_closed,
@@ -128,3 +130,18 @@ class TestDefiningRelation:
             verify_defining_relation(0, 8)
         with pytest.raises(ValueError):
             verify_defining_relation(4, 3)
+
+    @pytest.mark.parametrize("N", range(1, 7))
+    def test_inverse_of_power_is_power_of_inverse(self, N):
+        # The left-hand side inverts (1-2xt+t^2)^(N+1) instead of powering F.
+        for order in range(25):
+            D = denominator_series(order)
+            assert D.pow(N + 1).inverse() == D.inverse().pow(N + 1)
+
+    def test_perturbed_row_fails(self, monkeypatch):
+        rows = triangle._rows_up_to(3)
+        bad = rows[:2] + [(rows[2][0], rows[2][1] + 1, rows[2][2])]
+        monkeypatch.setattr(triangle, "_rows_up_to", lambda n_max: bad[:n_max])
+        entry = verify_defining_relation(3, 16)
+        assert not entry.passed
+        assert not entry.residual.is_zero()

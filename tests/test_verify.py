@@ -1,11 +1,18 @@
+import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from chebident.exact import binomial
+from chebident.exact import binomial, falling_factorial
 from chebident.families import Family, FamilySpec, family_poly
 from chebident.laurent import LaurentPoly
+from chebident.triangle import triangle_recurrence
 from chebident.verify import (
+    _legendre_selfconv,
+    _prefactor,
+    _thm2_rhs,
+    _triple_sum,
     IdentityId,
     compositions3,
     run_suite,
@@ -160,6 +167,67 @@ class TestThm7:
             verify_thm7(1, 1, first_kind="both")
 
 
+# -- the per-term right-hand sides, kept as references ---------------------------
+#
+# These are the loops the scalar-first assembly replaced: one polynomial
+# update per term, with no grouping of the integer weights.
+
+
+def thm2_rhs_per_term(n, N, base):
+    row = triangle_recurrence(N).row(N)
+    total = LaurentPoly.zero()
+    for i in range(1, N + 1):
+        ai = row[i - 1]
+        for l in range(n + 1):
+            c = ai * binomial(2 * N + n - l - i - 1, n - l) * falling_factorial(l + i, i)
+            if c:
+                total = total + c * base(l + i).shift(i + l - 2 * N - n)
+    return _prefactor(N) * total
+
+
+def triple_sum_per_term(n, N, base, inner_sign, outer_sign):
+    row = triangle_recurrence(N).row(N)
+    total = LaurentPoly.zero()
+    for i in range(1, N + 1):
+        ai = row[i - 1]
+        for l in range(i + 1):
+            pref = ai * (math.factorial(i) // math.factorial(l))
+            if outer_sign and (i - l) % 2:
+                pref = -pref
+            for m, s, p in compositions3(n):
+                c = pref * binomial(2 * N + m - i - 1, m) * binomial(i - l + s, s)
+                c *= falling_factorial(p + l, l)
+                if inner_sign and s % 2:
+                    c = -c
+                if c:
+                    total = total + c * base(p + l).shift(i - 2 * N - m)
+    return total
+
+
+BASES = {
+    kind.value: partial(family_poly, FamilySpec(kind))
+    for kind in (Family.U, Family.V, Family.W, Family.T_GF)
+}
+BASES["Legendre_selfconv"] = _legendre_selfconv
+
+
+class TestScalarFirstAssembly:
+    @pytest.mark.parametrize("base", list(BASES.values()), ids=list(BASES))
+    def test_thm2_rhs_matches_per_term(self, base):
+        for N in range(1, 4):
+            for n in range(7):
+                assert _thm2_rhs(n, N, base) == thm2_rhs_per_term(n, N, base)
+
+    @pytest.mark.parametrize("signs", [(False, False), (False, True), (True, False), (True, True)])
+    @pytest.mark.parametrize("base", list(BASES.values()), ids=list(BASES))
+    def test_triple_sum_matches_per_term(self, base, signs):
+        for N in range(1, 4):
+            for n in range(7):
+                assert _triple_sum(n, N, base, *signs) == triple_sum_per_term(
+                    n, N, base, *signs
+                )
+
+
 class TestNumericMode:
     def test_points_are_deterministic_nonzero_in_range(self):
         pts = sample_points()
@@ -190,6 +258,55 @@ class TestNumericMode:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             verify_thm2(1, 1, mode="float")
+
+
+class TestSamplePoints:
+    POOL = {Fraction(p, q) for q in range(1, 13) for p in range(-2 * q, 2 * q + 1) if p}
+
+    def test_whole_pool(self):
+        assert len(self.POOL) == 184
+        pts = sample_points(184)
+        assert len(pts) == 184 and set(pts) == self.POOL
+
+    def test_single_point(self):
+        assert len(sample_points(1)) == 1
+
+    @pytest.mark.parametrize("count", [-1, 0, 185])
+    def test_rejects_count_outside_pool(self, count):
+        with pytest.raises(ValueError, match=r"^count must be in 1\.\.184"):
+            sample_points(count)
+
+
+# Every public entry point, called on one small cell; run_suite on a small grid.
+CELL_CALLS = {
+    "intro_U_from_T": partial(verify_intro_U_from_T, 3),
+    "U_from_Legendre": partial(verify_U_from_Legendre, 3, 2),
+    "thm2": partial(verify_thm2, 3, 2),
+    "cor3": partial(verify_cor3, 3, 2),
+    "cor4_reconstructed": partial(verify_cor4_reconstructed, 3, 2),
+    "thm5": partial(verify_thm5, 3, 2),
+    "thm6": partial(verify_thm6, 3, 2),
+    "thm7": partial(verify_thm7, 3, 2, first_kind="classical"),
+    "run_suite": partial(run_suite, ALL_IDS, 2, 1),
+}
+
+
+class TestPointValidation:
+    # all() over no points would certify any cell, even a failing one.
+    @pytest.mark.parametrize(
+        "points,message",
+        [((), "points must not be empty"), ((Fraction(1, 2), 0), "points must be nonzero")],
+        ids=["empty", "zero"],
+    )
+    @pytest.mark.parametrize("call", list(CELL_CALLS.values()), ids=list(CELL_CALLS))
+    def test_rejected(self, call, points, message):
+        with pytest.raises(ValueError, match=message):
+            call(mode="numeric", points=points)
+
+    def test_failing_cell_cannot_pass_vacuously(self):
+        assert not verify_thm7(3, 2, first_kind="classical").passed
+        with pytest.raises(ValueError):
+            verify_thm7(3, 2, mode="numeric", points=(), first_kind="classical")
 
 
 class TestIndexValidation:
