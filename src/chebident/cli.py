@@ -21,7 +21,7 @@ import sys
 from chebident.families import Family, FamilySpec, family_poly
 from chebident.report import VerificationReport
 from chebident.triangle import triangle_recurrence, verify_defining_relation
-from chebident.verify import IdentityId, run_suite, suite_cells
+from chebident.verify import IdentityId, _select, run_suite
 
 _FORMATS = ["pretty", "json", "csv"]
 
@@ -136,18 +136,14 @@ def _cmd_triangle(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    if args.n_max < 0 or args.N_max < 0:
-        parser.error("--n-max and --N-max must be >= 0")
     if args.identity == "all":
         identities = list(IdentityId)
     else:
         identities = [IdentityId(args.identity)]
-    empty = [i.value for i in identities if not suite_cells(i, args.n_max, args.N_max)]
-    if empty:
-        parser.error(
-            f"--n-max {args.n_max} --N-max {args.N_max} selects no cells for "
-            + ", ".join(empty)
-        )
+    try:
+        _select(identities, args.n_max, args.N_max)
+    except ValueError as exc:
+        parser.error(str(exc))
     report = run_suite(
         identities,
         n_max=args.n_max,

@@ -27,10 +27,20 @@ l = 0..n unless stated):
                           T~_p^(N+1) = [plain sum] + [sign-alternating sum]
                           over i, l with T~_{p+l} factors
 
+The right-hand sums of thm5, thm6 and thm7 differ only in the weight of a
+term by the parity of i-l+s: (1, 1), (1, -1) and, since
+1 + (-1)^{i-l} (-1)^s is 2 or 0, (2, 0) for thm7.
+
 First-kind symbols inside thm7 use the generating-function normalization
 T~ (family T_gf); `first_kind="classical"` substitutes the classical T_n
 instead, which makes the identity fail for some n >= 1 - kept available
 as a guard that the normalization matters.
+
+One table, `_CATALOG`, holds per identity its side builder, its grid and
+whether its right-hand side is checked for being a true polynomial.  Every
+public `verify_*` entry point is a call into one driver, `_certify`, which
+validates the arguments, builds and compares the sides and times the cell;
+`run_suite` and `suite_cells` read the same table.
 """
 
 from __future__ import annotations
@@ -41,7 +51,8 @@ import random
 import time
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple
 
 from chebident.exact import binomial, falling_factorial
 from chebident.families import Family, FamilySpec, _rows, family_poly
@@ -78,24 +89,10 @@ class IdentityId(str, Enum):
     THM7 = "thm7"
 
 
-def _u(n: int) -> LaurentPoly:
-    return family_poly(FamilySpec(Family.U), n)
-
-
-def _v(n: int) -> LaurentPoly:
-    return family_poly(FamilySpec(Family.V), n)
-
-
-def _w(n: int) -> LaurentPoly:
-    return family_poly(FamilySpec(Family.W), n)
-
-
-def _tgf(n: int) -> LaurentPoly:
-    return family_poly(FamilySpec(Family.T_GF), n)
-
-
-def _p(n: int) -> LaurentPoly:
-    return family_poly(FamilySpec(Family.LEGENDRE), n)
+def _base(kind: Family, alpha: int = 1):
+    """The map n -> order-``alpha`` member of family ``kind``."""
+    spec = FamilySpec(kind, alpha)
+    return lambda n: family_poly(spec, n)
 
 
 def _prefactor(N: int) -> Fraction:
@@ -106,6 +103,11 @@ def _combine(coef: dict, base) -> LaurentPoly:
     """sum coef[(k, e)] * x^e * base(k), calling base once per distinct k."""
     bases = {k: base(k) for k in {k for k, _ in coef}}
     return LaurentPoly.combination((c, e, bases[k]) for (k, e), c in coef.items())
+
+
+def _convolution(f, g, n: int) -> LaurentPoly:
+    """sum_{l=0..n} f(l) g(n-l)."""
+    return sum((f(l) * g(n - l) for l in range(n + 1)), LaurentPoly.zero())
 
 
 @lru_cache(maxsize=None)
@@ -119,34 +121,24 @@ def compositions3(n: int) -> tuple:
 @lru_cache(maxsize=None)
 def _legendre_selfconv(k: int) -> LaurentPoly:
     """sum_{j=0..k} p_j p_{k-j}; equals U_k (certified by U_from_Legendre)."""
-    total = LaurentPoly.zero()
-    for j in range(k + 1):
-        total = total + _p(j) * _p(k - j)
-    return total
+    p = _base(Family.LEGENDRE)
+    return _convolution(p, p, k)
 
 
 # -- side builders -------------------------------------------------------------
 
 
 def _sides_intro(n: int):
-    lhs = (n + 1) * _u(n)
-    rhs = LaurentPoly.zero()
-    for l in range(n + 1):
-        rhs = rhs + _tgf(l) * _u(n - l)
-    return lhs, rhs
+    u = _base(Family.U)
+    return (n + 1) * u(n), _convolution(_base(Family.T_GF), u, n)
 
 
-def _sides_u_from_legendre(n: int, alpha: int):
-    lhs = family_poly(FamilySpec(Family.U, alpha), n)
-    rhs = LaurentPoly.zero()
-    for l in range(n + 1):
-        rhs = rhs + family_poly(FamilySpec(Family.LEGENDRE, alpha), l) * family_poly(
-            FamilySpec(Family.LEGENDRE, alpha), n - l
-        )
-    return lhs, rhs
+def _sides_legendre(n: int, alpha: int):
+    p = _base(Family.LEGENDRE, alpha)
+    return _base(Family.U, alpha)(n), _convolution(p, p, n)
 
 
-def _thm2_rhs(n: int, N: int, base=_u) -> LaurentPoly:
+def _thm2_rhs(n: int, N: int, base) -> LaurentPoly:
     row = triangle_recurrence(N).row(N)
     coef: dict = {}
     for i in range(1, N + 1):
@@ -159,34 +151,26 @@ def _thm2_rhs(n: int, N: int, base=_u) -> LaurentPoly:
 
 
 def _sides_thm2(n: int, N: int):
-    return family_poly(FamilySpec(Family.U, N + 1), n), _thm2_rhs(n, N)
+    return _base(Family.U, N + 1)(n), _thm2_rhs(n, N, _base(Family.U))
 
 
 def _sides_cor3(n: int, N: int):
-    lhs = LaurentPoly.zero()
-    for l in range(n + 1):
-        lhs = lhs + family_poly(FamilySpec(Family.LEGENDRE, N + 1), l) * family_poly(
-            FamilySpec(Family.LEGENDRE, N + 1), n - l
-        )
-    return lhs, _thm2_rhs(n, N)
+    p = _base(Family.LEGENDRE, N + 1)
+    return _convolution(p, p, n), _thm2_rhs(n, N, _base(Family.U))
 
 
 def _sides_cor4(n: int, N: int):
-    return (
-        family_poly(FamilySpec(Family.U, N + 1), n),
-        _thm2_rhs(n, N, base=_legendre_selfconv),
-    )
+    return _base(Family.U, N + 1)(n), _thm2_rhs(n, N, _legendre_selfconv)
 
 
-def _triple_sum(n: int, N: int, base, inner_sign: bool, outer_sign: bool) -> LaurentPoly:
-    """Common right-hand side of thm5/thm6/thm7 halves.
+def _triple_sum(n: int, N: int, base, even: int, odd: int) -> LaurentPoly:
+    """Common right-hand side of thm5, thm6 and thm7.
 
-    sum_{i=1..N} sum_{l=0..i} [sign_out] a_i(N) (i!/l!)
-      sum_{m+s+p=n} [sign_in] C(2N+m-i-1, m) C(i-l+s, s) (p+l)_l
-        x^{i-2N-m} base(p+l)
+    sum_{i=1..N} sum_{l=0..i} a_i(N) (i!/l!)
+      sum_{m+s+p=n} w C(2N+m-i-1, m) C(i-l+s, s) (p+l)_l x^{i-2N-m} base(p+l)
 
-    with sign_out = (-1)^{i-l} when outer_sign and sign_in = (-1)^s when
-    inner_sign.  The integer weights are summed per (p+l, i-2N-m) first.
+    with w = even when i-l+s is even and w = odd otherwise.  The integer
+    weights are summed per (p+l, i-2N-m) first.
     """
     row = triangle_recurrence(N).row(N)
     triples = compositions3(n)
@@ -196,70 +180,89 @@ def _triple_sum(n: int, N: int, base, inner_sign: bool, outer_sign: bool) -> Lau
         outer = [binomial(2 * N + m - i - 1, m) for m in range(n + 1)]
         for l in range(i + 1):
             pref = ai * (math.factorial(i) // math.factorial(l))
-            if outer_sign and (i - l) % 2:
-                pref = -pref
-            inner = [binomial(i - l + s, s) for s in range(n + 1)]
-            if inner_sign:
-                inner[1::2] = [-c for c in inner[1::2]]
+            inner = [
+                (odd if (i - l + s) % 2 else even) * binomial(i - l + s, s)
+                for s in range(n + 1)
+            ]
             fall = [falling_factorial(p + l, l) for p in range(n + 1)]
             for m, s, p in triples:
-                key = (p + l, i - 2 * N - m)
-                coef[key] = coef.get(key, 0) + pref * outer[m] * inner[s] * fall[p]
+                if inner[s]:
+                    key = (p + l, i - 2 * N - m)
+                    coef[key] = coef.get(key, 0) + pref * outer[m] * inner[s] * fall[p]
     return _combine(coef, base)
 
 
-def _sides_thm5(n: int, N: int):
+def _sides_thm5_6(kind: Family, sign: int, n: int, N: int):
+    """thm5 (V, sign 1) and its fourth-kind analogue thm6 (W, sign -1)."""
+    higher = _base(kind, N + 1)
     lhs = LaurentPoly.combination(
-        (binomial(N + n - l, n - l), 0, family_poly(FamilySpec(Family.V, N + 1), l))
-        for l in range(n + 1)
+        (sign ** (n - l) * binomial(N + n - l, n - l), 0, higher(l)) for l in range(n + 1)
     )
-    rhs = _prefactor(N) * _triple_sum(n, N, _v, inner_sign=False, outer_sign=False)
-    return lhs, rhs
+    return lhs, _prefactor(N) * _triple_sum(n, N, _base(kind), 1, sign)
 
 
-def _sides_thm6(n: int, N: int):
-    lhs = LaurentPoly.combination(
-        (
-            (-1) ** (n - l) * binomial(N + n - l, n - l),
-            0,
-            family_poly(FamilySpec(Family.W, N + 1), l),
-        )
-        for l in range(n + 1)
-    )
-    rhs = _prefactor(N) * _triple_sum(n, N, _w, inner_sign=True, outer_sign=True)
-    return lhs, rhs
-
-
-def _sides_thm7(n: int, N: int, first_kind: str = "gf"):
+def _sides_thm7(n: int, N: int, first_kind: str):
     if first_kind == "gf":
-        base = _tgf
-
-        def higher(p):
-            return family_poly(FamilySpec(Family.T_GF, N + 1), p)
-
-    elif first_kind == "classical":
-
-        def base(p):
-            return family_poly(FamilySpec(Family.T_CLASSICAL), p)
+        base, higher = _base(Family.T_GF), _base(Family.T_GF, N + 1)
+    else:
+        base = _base(Family.T_CLASSICAL)
 
         def higher(p):
             # FamilySpec keeps T_classical at order 1; the guard reads the table.
             return _rows(Family.T_CLASSICAL, N + 1, p)[p]
 
-    else:
-        raise ValueError(f"first_kind must be 'gf' or 'classical', got {first_kind!r}")
     weights: dict = {}
     for s, m, p in compositions3(n):
         weights[p] = weights.get(p, 0) + (-1) ** m * binomial(N + s, s) * binomial(m + N, m)
     scale = 2 ** (N + 1) * math.factorial(N)
     lhs = LaurentPoly.combination((scale * c, 0, higher(p)) for p, c in weights.items())
-    rhs = _triple_sum(n, N, base, inner_sign=False, outer_sign=False) + _triple_sum(
-        n, N, base, inner_sign=True, outer_sign=True
-    )
-    return lhs, rhs
+    return lhs, _triple_sum(n, N, base, 2, 0)
 
 
-# -- verification drivers --------------------------------------------------------
+# -- the catalog -----------------------------------------------------------------
+
+
+class _Identity(NamedTuple):
+    """One catalog row.
+
+    ``entry_point`` names the public ``verify_*`` function and ``params``
+    its names for the grid's N and for first_kind, as far as it takes them;
+    ``sides(n, **params)`` returns (lhs, rhs).  ``fixed_N`` is the grid's
+    only N (alpha) value, or None for N = 1..N_max.  ``tracks_rhs`` says
+    whether the report records if the right-hand side is a true polynomial.
+    """
+
+    entry_point: str
+    params: tuple
+    sides: Callable
+    fixed_N: int | None
+    tracks_rhs: bool
+
+
+_CATALOG = {
+    IdentityId.INTRO_U_FROM_T: _Identity("verify_intro_U_from_T", (), _sides_intro, 0, False),
+    IdentityId.U_FROM_LEGENDRE: _Identity(
+        "verify_U_from_Legendre", ("alpha",), _sides_legendre, 1, False
+    ),
+    IdentityId.UALPHA_FROM_LEGENDRE: _Identity(
+        "verify_U_from_Legendre", ("alpha",), _sides_legendre, None, False
+    ),
+    IdentityId.THM2: _Identity("verify_thm2", ("N",), _sides_thm2, None, True),
+    IdentityId.COR3: _Identity("verify_cor3", ("N",), _sides_cor3, None, True),
+    IdentityId.COR4_RECONSTRUCTED: _Identity(
+        "verify_cor4_reconstructed", ("N",), _sides_cor4, None, True
+    ),
+    IdentityId.THM5: _Identity(
+        "verify_thm5", ("N",), partial(_sides_thm5_6, Family.V, 1), None, True
+    ),
+    IdentityId.THM6: _Identity(
+        "verify_thm6", ("N",), partial(_sides_thm5_6, Family.W, -1), None, True
+    ),
+    IdentityId.THM7: _Identity("verify_thm7", ("N", "first_kind"), _sides_thm7, None, True),
+}
+
+
+# -- verification driver ---------------------------------------------------------
 
 
 # Distinct nonzero p/q in [-2, 2] with 1 <= q <= 12: 4 * sum_{q<=12} phi(q).
@@ -289,17 +292,12 @@ def sample_points(count: int = 20, seed: int = 0) -> tuple:
     return tuple(points)
 
 
-_DEFAULT_POINTS = None
-
-
+@lru_cache(maxsize=None)
 def _default_points() -> tuple:
-    global _DEFAULT_POINTS
-    if _DEFAULT_POINTS is None:
-        _DEFAULT_POINTS = sample_points()
-    return _DEFAULT_POINTS
+    return sample_points()
 
 
-def _check_args(n: int, mode: str, points, **orders: int) -> None:
+def _check_args(n: int, mode: str, points, first_kind: str = "gf", **orders: int) -> None:
     """Reject arguments that would make a cell pass vacuously or fail late.
 
     n < 0 and any order (N or alpha) < 1 would leave the sums empty, and an
@@ -308,6 +306,8 @@ def _check_args(n: int, mode: str, points, **orders: int) -> None:
     """
     if mode not in ("symbolic", "numeric"):
         raise ValueError(f"mode must be 'symbolic' or 'numeric', got {mode!r}")
+    if first_kind not in ("gf", "classical"):
+        raise ValueError(f"first_kind must be 'gf' or 'classical', got {first_kind!r}")
     if points is not None:
         if len(points) == 0:
             raise ValueError("points must not be empty")
@@ -320,18 +320,18 @@ def _check_args(n: int, mode: str, points, **orders: int) -> None:
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-def _finish(
-    identity: str,
-    n: int,
-    N: int,
-    lhs: LaurentPoly,
-    rhs: LaurentPoly,
-    mode: str,
-    track_rhs: bool,
-    start: float,
-    points,
-) -> ReportEntry:
-    rhs_polynomial = rhs.is_polynomial() if track_rhs else None
+def _certify(identity: IdentityId, n: int, mode: str, points, **params) -> ReportEntry:
+    """Certify one cell of ``identity``: validate, build both sides, compare, time.
+
+    ``params`` are the entry point's own arguments (N or alpha, first_kind).
+    The report's N column holds alpha for the Legendre convolutions and 0
+    for the introductory identity.
+    """
+    _check_args(n, mode, points, **params)
+    row = _CATALOG[identity]
+    start = time.perf_counter()
+    lhs, rhs = row.sides(n, **params)
+    rhs_polynomial = rhs.is_polynomial() if row.tracks_rhs else None
     if mode == "symbolic":
         residual = lhs - rhs
         passed = residual.is_zero()
@@ -339,79 +339,54 @@ def _finish(
         residual = None
         pts = points if points is not None else _default_points()
         passed = all(lhs.evaluate(x0) == rhs.evaluate(x0) for x0 in pts)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
     return ReportEntry(
-        identity=identity,
+        identity=identity.value,
         n=n,
-        N=N,
+        N=params.get("N", params.get("alpha", 0)),
         passed=passed,
         residual=residual,
         rhs_polynomial=rhs_polynomial,
-        elapsed_ms=elapsed_ms,
+        elapsed_ms=(time.perf_counter() - start) * 1000.0,
     )
 
 
 def verify_intro_U_from_T(n: int, mode: str = "symbolic", points=None) -> ReportEntry:
-    _check_args(n, mode, points)
-    start = time.perf_counter()
-    lhs, rhs = _sides_intro(n)
-    return _finish("intro_U_from_T", n, 0, lhs, rhs, mode, False, start, points)
+    return _certify(IdentityId.INTRO_U_FROM_T, n, mode, points)
 
 
 def verify_U_from_Legendre(
     n: int, alpha: int = 1, mode: str = "symbolic", points=None
 ) -> ReportEntry:
-    _check_args(n, mode, points, alpha=alpha)
-    start = time.perf_counter()
-    lhs, rhs = _sides_u_from_legendre(n, alpha)
-    identity = "U_from_Legendre" if alpha == 1 else "Ualpha_from_Legendre"
-    return _finish(identity, n, alpha, lhs, rhs, mode, False, start, points)
+    identity = IdentityId.U_FROM_LEGENDRE if alpha == 1 else IdentityId.UALPHA_FROM_LEGENDRE
+    return _certify(identity, n, mode, points, alpha=alpha)
 
 
 def verify_thm2(n: int, N: int, mode: str = "symbolic", points=None) -> ReportEntry:
-    _check_args(n, mode, points, N=N)
-    start = time.perf_counter()
-    lhs, rhs = _sides_thm2(n, N)
-    return _finish("thm2", n, N, lhs, rhs, mode, True, start, points)
+    return _certify(IdentityId.THM2, n, mode, points, N=N)
 
 
 def verify_cor3(n: int, N: int, mode: str = "symbolic", points=None) -> ReportEntry:
-    _check_args(n, mode, points, N=N)
-    start = time.perf_counter()
-    lhs, rhs = _sides_cor3(n, N)
-    return _finish("cor3", n, N, lhs, rhs, mode, True, start, points)
+    return _certify(IdentityId.COR3, n, mode, points, N=N)
 
 
 def verify_cor4_reconstructed(
     n: int, N: int, mode: str = "symbolic", points=None
 ) -> ReportEntry:
-    _check_args(n, mode, points, N=N)
-    start = time.perf_counter()
-    lhs, rhs = _sides_cor4(n, N)
-    return _finish("cor4_reconstructed", n, N, lhs, rhs, mode, True, start, points)
+    return _certify(IdentityId.COR4_RECONSTRUCTED, n, mode, points, N=N)
 
 
 def verify_thm5(n: int, N: int, mode: str = "symbolic", points=None) -> ReportEntry:
-    _check_args(n, mode, points, N=N)
-    start = time.perf_counter()
-    lhs, rhs = _sides_thm5(n, N)
-    return _finish("thm5", n, N, lhs, rhs, mode, True, start, points)
+    return _certify(IdentityId.THM5, n, mode, points, N=N)
 
 
 def verify_thm6(n: int, N: int, mode: str = "symbolic", points=None) -> ReportEntry:
-    _check_args(n, mode, points, N=N)
-    start = time.perf_counter()
-    lhs, rhs = _sides_thm6(n, N)
-    return _finish("thm6", n, N, lhs, rhs, mode, True, start, points)
+    return _certify(IdentityId.THM6, n, mode, points, N=N)
 
 
 def verify_thm7(
     n: int, N: int, mode: str = "symbolic", points=None, first_kind: str = "gf"
 ) -> ReportEntry:
-    _check_args(n, mode, points, N=N)
-    start = time.perf_counter()
-    lhs, rhs = _sides_thm7(n, N, first_kind)
-    return _finish("thm7", n, N, lhs, rhs, mode, True, start, points)
+    return _certify(IdentityId.THM7, n, mode, points, N=N, first_kind=first_kind)
 
 
 # -- suite runner -----------------------------------------------------------------
@@ -419,13 +394,27 @@ def verify_thm7(
 
 def suite_cells(identity: IdentityId, n_max: int, N_max: int):
     """Deterministic (N, n) grid per identity; N doubles as alpha where noted."""
-    if identity is IdentityId.INTRO_U_FROM_T:
-        return [(0, n) for n in range(n_max + 1)]
-    if identity is IdentityId.U_FROM_LEGENDRE:
-        return [(1, n) for n in range(n_max + 1)]
-    if identity is IdentityId.UALPHA_FROM_LEGENDRE:
-        return [(alpha, n) for alpha in range(1, N_max + 1) for n in range(n_max + 1)]
-    return [(N, n) for N in range(1, N_max + 1) for n in range(n_max + 1)]
+    fixed = _CATALOG[IdentityId(identity)].fixed_N
+    orders = range(1, N_max + 1) if fixed is None else (fixed,)
+    return [(N, n) for N in orders for n in range(n_max + 1)]
+
+
+def _select(identities, n_max: int, N_max: int) -> list:
+    """The selected identities in catalog order, each with cells on the grid.
+
+    Raises ValueError for a negative grid or an identity the grid gives no
+    cells, which would otherwise pass vacuously.
+    """
+    if n_max < 0 or N_max < 0:
+        raise ValueError("n_max and N_max must be >= 0")
+    wanted = {IdentityId(x) for x in identities}
+    selected = [i for i in IdentityId if i in wanted]
+    empty = [i.value for i in selected if not suite_cells(i, n_max, N_max)]
+    if empty:
+        raise ValueError(
+            f"n_max={n_max}, N_max={N_max} selects no cells for " + ", ".join(empty)
+        )
+    return selected
 
 
 def run_suite(
@@ -442,30 +431,18 @@ def run_suite(
     records alpha for the Legendre convolution identities and 0 for the
     introductory identity, which has no second parameter.
     """
-    if n_max < 0 or N_max < 0:
-        raise ValueError("n_max and N_max must be >= 0")
-    _check_args(n_max, mode, points)
-    selected = [i for i in IdentityId if i in {IdentityId(x) for x in identities}]
+    selected = _select(identities, n_max, N_max)
+    _check_args(n_max, mode, points, first_kind)
     report = VerificationReport()
     for identity in selected:
+        row = _CATALOG[identity]
+        # Looked up on the module, not bound at import, so that wrappers
+        # installed there (tracing, counting) see every cell.
+        check = globals()[row.entry_point]
         for N, n in suite_cells(identity, n_max, N_max):
-            if identity is IdentityId.INTRO_U_FROM_T:
-                entry = verify_intro_U_from_T(n, mode, points)
-            elif identity in (IdentityId.U_FROM_LEGENDRE, IdentityId.UALPHA_FROM_LEGENDRE):
-                entry = verify_U_from_Legendre(n, N, mode, points)
-                if entry.identity != identity.value:
-                    entry = dataclasses.replace(entry, identity=identity.value)
-            elif identity is IdentityId.THM2:
-                entry = verify_thm2(n, N, mode, points)
-            elif identity is IdentityId.COR3:
-                entry = verify_cor3(n, N, mode, points)
-            elif identity is IdentityId.COR4_RECONSTRUCTED:
-                entry = verify_cor4_reconstructed(n, N, mode, points)
-            elif identity is IdentityId.THM5:
-                entry = verify_thm5(n, N, mode, points)
-            elif identity is IdentityId.THM6:
-                entry = verify_thm6(n, N, mode, points)
-            else:
-                entry = verify_thm7(n, N, mode, points, first_kind)
+            params = dict(zip(row.params, (N, first_kind)))
+            entry = check(n, mode=mode, points=points, **params)
+            if entry.identity != identity.value:  # Ualpha_from_Legendre at alpha = 1
+                entry = dataclasses.replace(entry, identity=identity.value)
             report.entries.append(entry)
     return report

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -161,6 +162,34 @@ class TestVerify:
         code = run(["verify", "thm9", "--n-max", "1", "--N-max", "1"])
         capsys.readouterr()
         assert code == 2
+
+
+class TestGoldenDigests:
+    # sha256 of the report bytes, recorded before the identity catalog became
+    # one table; a refactor must reproduce them exactly.  The classical run
+    # pins thm7's failing residuals too.
+    @pytest.mark.parametrize(
+        "args,digest",
+        [
+            (
+                ("--n-max", "8", "--N-max", "3", "--format", "json"),
+                "3d2f30fb13025d2f6abdf63f58abd5e386fdc664fb7f16620c2affd0e7517a49",
+            ),
+            (
+                ("--n-max", "6", "--N-max", "3", "--mode", "numeric", "--format", "json"),
+                "1b0613193becadc4734fb1046c4b5697825c0d424830e77043d68ccd29731b87",
+            ),
+            (
+                ("--n-max", "6", "--N-max", "3", "--first-kind", "classical", "--format", "csv"),
+                "c0631795e2b90b8951bc068e44648a0a73f191f3257edd2d0b1582be248f6e06",
+            ),
+        ],
+        ids=["symbolic-json", "numeric-json", "classical-csv"],
+    )
+    def test_verify_all(self, capsys, args, digest):
+        code, out = invoke(capsys, "verify", "all", *args)
+        assert code == (1 if "classical" in args else 0)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestDefiningRelation:

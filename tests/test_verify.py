@@ -4,6 +4,7 @@ from functools import partial
 
 import pytest
 
+from chebident import verify
 from chebident.exact import binomial, falling_factorial
 from chebident.families import Family, FamilySpec, family_poly
 from chebident.laurent import LaurentPoly
@@ -210,6 +211,15 @@ BASES = {
 }
 BASES["Legendre_selfconv"] = _legendre_selfconv
 
+# The per-term sign flags (inner_sign, outer_sign) summed in the reference,
+# mapped to the (even, odd) parity weights of _triple_sum that reproduce them:
+# thm5, thm6, and thm7's plain plus sign-alternating halves.
+TRIPLE_SUM_WEIGHTS = {
+    ((False, False),): (1, 1),
+    ((True, True),): (1, -1),
+    ((False, False), (True, True)): (2, 0),
+}
+
 
 class TestScalarFirstAssembly:
     @pytest.mark.parametrize("base", list(BASES.values()), ids=list(BASES))
@@ -218,14 +228,17 @@ class TestScalarFirstAssembly:
             for n in range(7):
                 assert _thm2_rhs(n, N, base) == thm2_rhs_per_term(n, N, base)
 
-    @pytest.mark.parametrize("signs", [(False, False), (False, True), (True, False), (True, True)])
+    @pytest.mark.parametrize("signs", list(TRIPLE_SUM_WEIGHTS))
     @pytest.mark.parametrize("base", list(BASES.values()), ids=list(BASES))
     def test_triple_sum_matches_per_term(self, base, signs):
+        even, odd = TRIPLE_SUM_WEIGHTS[signs]
         for N in range(1, 4):
             for n in range(7):
-                assert _triple_sum(n, N, base, *signs) == triple_sum_per_term(
-                    n, N, base, *signs
+                expected = sum(
+                    (triple_sum_per_term(n, N, base, *flags) for flags in signs),
+                    LaurentPoly.zero(),
                 )
+                assert _triple_sum(n, N, base, even, odd) == expected
 
 
 class TestNumericMode:
@@ -382,3 +395,38 @@ class TestRunSuite:
     def test_rejects_negative_grid(self):
         with pytest.raises(ValueError):
             run_suite(ALL_IDS, n_max=-1, N_max=2)
+
+    # An identity with no cells on the grid would otherwise pass vacuously.
+    @pytest.mark.parametrize(
+        "identities,empty",
+        [
+            ([IdentityId.THM2], "thm2"),
+            ([IdentityId.UALPHA_FROM_LEGENDRE], "Ualpha_from_Legendre"),
+            (
+                ALL_IDS,
+                "Ualpha_from_Legendre, thm2, cor3, cor4_reconstructed, thm5, thm6, thm7",
+            ),
+        ],
+        ids=["thm2", "Ualpha_from_Legendre", "all"],
+    )
+    def test_rejects_empty_grid(self, identities, empty):
+        with pytest.raises(ValueError, match=rf"selects no cells for {empty}$"):
+            run_suite(identities, n_max=5, N_max=0)
+
+    def test_rejects_unknown_first_kind_up_front(self):
+        # thm7 is not selected, so no cell would ever read first_kind.
+        with pytest.raises(ValueError, match=r"^first_kind must be 'gf' or 'classical'"):
+            run_suite([IdentityId.THM2], 2, 1, first_kind="both")
+
+    def test_dispatches_through_module_attribute(self, monkeypatch):
+        # Wrappers installed on the module (tracers, counters) must see every cell.
+        calls = []
+        original = verify.verify_thm5
+
+        def counting(*args, **kwargs):
+            calls.append((args, kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "verify_thm5", counting)
+        report = run_suite([IdentityId.THM5], 3, 2)
+        assert len(calls) == len(report.entries) == 8
