@@ -213,11 +213,13 @@ BASES["Legendre_selfconv"] = _legendre_selfconv
 
 # The per-term sign flags (inner_sign, outer_sign) summed in the reference,
 # mapped to the (even, odd) parity weights of _triple_sum that reproduce them:
-# thm5, thm6, and thm7's plain plus sign-alternating halves.
+# thm5, thm7's plain plus sign-alternating halves, a general weight pair with
+# neither weight zero nor the two equal up to sign, and thm6.
 TRIPLE_SUM_WEIGHTS = {
     ((False, False),): (1, 1),
-    ((True, True),): (1, -1),
     ((False, False), (True, True)): (2, 0),
+    ((False, False), (False, False), (True, True)): (3, 1),
+    ((True, True),): (1, -1),
 }
 
 
