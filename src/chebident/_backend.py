@@ -7,9 +7,13 @@ only kernels and carry essentially all of its runtime.  `laurent` and
 `series` call them through this module's attributes, so a profiler can
 wrap them here; the module keeps its name for that reason.
 
-Returned dicts are always canonical (no zero coefficients) except for
-`iadd_scaled_shifted`, whose accumulator the caller prunes once at the
-end via `prune_zeros`.
+The x-convolution is written once, as the in-place `iadd_mul`; every
+product (`mul_terms`, `cauchy_mul`, and the series inverse and square
+root) accumulates through it.  Subtraction is addition of the negation.
+
+Returned dicts are always canonical (no zero coefficients) except for the
+in-place `iadd_scaled_shifted` and `iadd_mul`, whose accumulator the
+caller prunes once at the end via `prune_zeros`.
 """
 
 from __future__ import annotations
@@ -35,24 +39,6 @@ def add_terms(a, b):
     return out
 
 
-def sub_terms(a, b):
-    """Canonical difference a - b of two term maps."""
-    if not b:
-        return dict(a)
-    out = dict(a)
-    for e, c in b.items():
-        v = out.get(e)
-        if v is None:
-            out[e] = -c
-        else:
-            v = v - c
-            if v:
-                out[e] = v
-            else:
-                del out[e]
-    return out
-
-
 def scale_terms(a, c):
     """c * a for a scalar c; the zero scalar yields the empty map."""
     if not c:
@@ -62,17 +48,9 @@ def scale_terms(a, c):
 
 def mul_terms(a, b):
     """Exact convolution of two term maps (exponents add)."""
-    if not a or not b:
-        return {}
-    if len(a) > len(b):
-        a, b = b, a
     out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            v = out.get(e)
-            out[e] = ca * cb if v is None else v + ca * cb
-    return {e: v for e, v in out.items() if v}
+    iadd_mul(out, a, b)
+    return prune_zeros(out)
 
 
 def iadd_scaled_shifted(acc, src, c, k):
@@ -81,6 +59,17 @@ def iadd_scaled_shifted(acc, src, c, k):
         e2 = e + k
         w = acc.get(e2)
         acc[e2] = v * c if w is None else w + v * c
+
+
+def iadd_mul(acc, a, b):
+    """In place: acc += a * b.  May leave explicit zeros in acc."""
+    if len(a) > len(b):
+        a, b = b, a
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            v = acc.get(e)
+            acc[e] = ca * cb if v is None else v + ca * cb
 
 
 def prune_zeros(d):
@@ -97,16 +86,7 @@ def cauchy_mul(a, b, order):
     for m in range(order + 1):
         acc = {}
         for j in range(m + 1):
-            aj = a[j]
-            bj = b[m - j]
-            if not aj or not bj:
-                continue
-            if len(aj) > len(bj):
-                aj, bj = bj, aj
-            for ea, ca in aj.items():
-                for eb, cb in bj.items():
-                    e = ea + eb
-                    v = acc.get(e)
-                    acc[e] = ca * cb if v is None else v + ca * cb
-        out.append({e: v for e, v in acc.items() if v})
+            if a[j] and b[m - j]:
+                iadd_mul(acc, a[j], b[m - j])
+        out.append(prune_zeros(acc))
     return out

@@ -8,8 +8,9 @@ Subcommands:
   defining-relation  certify the series defining relation for N = 1..N_max
 
 Exit codes: 0 success, 1 at least one verification cell failed, 2 usage
-error.  Output is byte-deterministic for identical inputs; wall-clock
-timings are only included when --timings is given.
+error or an --output file that cannot be written.  Output is
+byte-deterministic for identical inputs; wall-clock timings are only
+included when --timings is given.
 """
 
 from __future__ import annotations
@@ -86,8 +87,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            sys.stderr.write(f"chebident: error: cannot write --output: {exc}\n")
+            raise SystemExit(2) from None
     else:
         sys.stdout.write(text)
 

@@ -50,6 +50,12 @@ class Family(str, Enum):
     LEGENDRE = "Legendre"
 
 
+def _require_int(name: str, value) -> None:
+    """Reject bools and non-integers before they reach range() or a recurrence."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A family together with its convolution order (1 = base family)."""
@@ -59,6 +65,7 @@ class FamilySpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", Family(self.kind))
+        _require_int("alpha", self.alpha)
         if self.alpha < 1:
             raise ValueError(f"family order must be >= 1, got {self.alpha}")
         if self.kind is Family.T_CLASSICAL and self.alpha != 1:
@@ -118,6 +125,7 @@ def _rows(kind: Family, alpha: int, n: int) -> list[LaurentPoly]:
 
 def family_poly(spec: FamilySpec, n: int) -> LaurentPoly:
     """Degree-n member of the family, always a true polynomial."""
+    _require_int("n", n)
     if n < 0:
         raise ValueError(f"polynomial index must be >= 0, got {n}")
     if not isinstance(spec, FamilySpec):
@@ -127,6 +135,7 @@ def family_poly(spec: FamilySpec, n: int) -> LaurentPoly:
 
 def family_polys(spec: FamilySpec, n_max: int) -> list[LaurentPoly]:
     """Members 0..n_max of the family, as a list."""
+    _require_int("n_max", n_max)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if not isinstance(spec, FamilySpec):

@@ -132,7 +132,7 @@ class LaurentPoly:
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return LaurentPoly._raw(_k.sub_terms(self._terms, other._terms))
+        return self + -other
 
     def __neg__(self):
         return LaurentPoly._raw({e: -c for e, c in self._terms.items()})

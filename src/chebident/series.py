@@ -2,7 +2,13 @@
 
 This is the oracle machinery: every generating function is expanded here
 independently of the recurrence route in `chebident.families`, and the
-two are required to agree coefficient by coefficient.
+two are required to agree coefficient by coefficient.  `gf_expand` reads
+no family rows.  It writes every order-alpha generating function as one
+formula, q(t)^alpha (1 - 2xt + t^2)^(-alpha/h), from its own table of
+numerators q and divisors h (h = 2 for Legendre, 1 otherwise).  The
+denominator factor is the short-series inverse of (1 - 2xt + t^2)^lambda
+for integer lambda, and the square root of the inverse of
+(1 - 2xt + t^2)^alpha for half-integer lambda.
 
 A series carries its truncation order explicitly.  Arithmetic between two
 series truncates to the shorter operand (verification drivers naturally
@@ -16,7 +22,7 @@ from fractions import Fraction
 
 from chebident import _backend as _k
 from chebident.exact import binomial
-from chebident.families import Family, FamilySpec, family_polys
+from chebident.families import Family
 from chebident.laurent import LaurentPoly
 
 __all__ = [
@@ -105,13 +111,7 @@ class TruncatedSeries:
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        order = min(self.order, other.order)
-        return TruncatedSeries._raw(
-            tuple(
-                LaurentPoly._raw(_k.sub_terms(a._terms, b._terms))
-                for a, b in zip(self._coeffs, other._coeffs)
-            )[: order + 1]
-        )
+        return self + -other
 
     def __neg__(self):
         return TruncatedSeries._raw(tuple(-c for c in self._coeffs))
@@ -170,19 +170,36 @@ class TruncatedSeries:
         inv0 = Fraction(1) / a0.coefficient(0)
         if inv0.denominator == 1:
             inv0 = int(inv0)  # keep integer-only series integer-typed
-        coeffs = [c._terms for c in self._coeffs]
-        out = [_k.scale_terms({0: 1}, inv0)]
-        neg_inv0 = -inv0
+        neg = [_k.scale_terms(c._terms, -inv0) for c in self._coeffs]
+        out = [{0: inv0}]
         for m in range(1, self.order + 1):
             acc: dict = {}
             for j in range(1, m + 1):
-                aj = coeffs[j]
-                if not aj:
-                    continue
-                prod = _k.mul_terms(aj, out[m - j])
-                acc = _k.add_terms(acc, prod)
-            out.append(_k.scale_terms(acc, neg_inv0))
+                if neg[j]:
+                    _k.iadd_mul(acc, neg[j], out[m - j])
+            out.append(_k.prune_zeros(acc))
         return TruncatedSeries._raw(tuple(LaurentPoly._raw(d) for d in out))
+
+    def sqrt(self) -> "TruncatedSeries":
+        """The square root r with r_0 = 1 of a series s with constant term 1.
+
+        From r^2 = s: r_m = (s_m - sum_{j=1..m-1} r_j r_{m-j}) / 2.  The
+        recurrence runs on R_m = 4^m r_m, the root of s(4t) = 1 + 4u, which
+        is integral wherever s is (sqrt(1 + 4u) has integer coefficients),
+        so an integer series divides into Fractions only at the end.
+        """
+        if self._coeffs[0]._terms != {0: 1}:
+            raise ValueError("series square root needs constant coefficient 1")
+        out, neg = [{0: 1}], [None]
+        for m in range(1, self.order + 1):
+            acc = _k.scale_terms(self._coeffs[m]._terms, 4**m)
+            for j in range(1, m):
+                _k.iadd_mul(acc, neg[j], out[m - j])
+            out.append(LaurentPoly(_k.scale_terms(acc, Fraction(1, 2)))._terms)
+            neg.append(_k.scale_terms(out[m], -1))
+        return TruncatedSeries._raw(
+            tuple(LaurentPoly(_k.scale_terms(d, Fraction(1, 4**m))) for m, d in enumerate(out))
+        )
 
     def derivative_t(self) -> "TruncatedSeries":
         """d/dt: coefficient m of the result is (m+1) * coefficient m+1; order drops by 1."""
@@ -204,11 +221,14 @@ class TruncatedSeries:
 
 # -- generating functions -----------------------------------------------------
 
-_GF_NUMERATORS = {
-    Family.T_GF: (1, 0, -1),  # 1 - t^2
-    Family.U: (1,),
-    Family.V: (1, -1),  # 1 - t
-    Family.W: (1, 1),  # 1 + t
+# kind -> (numerator q(t) coefficients, h): the order-alpha generating
+# function is q(t)^alpha (1 - 2xt + t^2)^(-alpha/h) (DLMF 18.12).
+_GF = {
+    Family.U: ((1,), 1),
+    Family.V: ((1, -1), 1),
+    Family.W: ((1, 1), 1),
+    Family.T_GF: ((1, 0, -1), 1),
+    Family.LEGENDRE: ((1,), 2),
 }
 
 
@@ -220,13 +240,12 @@ def denominator_series(order: int) -> TruncatedSeries:
 
 
 def gf_expand(kind, alpha: int, order: int) -> TruncatedSeries:
-    """Expand the family generating function raised to an integer order.
+    """Expand the order-alpha generating function q(t)^alpha (1-2xt+t^2)^(-lambda).
 
-    For T_gf, U, V, W this expands (numerator / (1-2xt+t^2))^alpha with
-    numerator 1-t^2, 1, 1-t, 1+t respectively.  The Legendre generating
-    function involves a square root, so integer orders are produced as
-    alpha-fold convolution powers of the base Legendre series (whose
-    coefficients come from the three-term recurrence).
+    q is 1-t^2, 1, 1-t, 1+t, 1 for T_gf, U, V, W, Legendre, and lambda is
+    alpha, except alpha/2 for Legendre.  An integer lambda uses the
+    short-series inverse of (1-2xt+t^2)^lambda, a half-integer one the
+    square root of the inverse of (1-2xt+t^2)^alpha.
     """
     kind = Family(kind)
     if alpha < 1:
@@ -235,14 +254,13 @@ def gf_expand(kind, alpha: int, order: int) -> TruncatedSeries:
         raise ValueError(
             "T_classical is not generated by its own series here; use T_gf"
         )
-    if kind is Family.LEGENDRE:
-        base = TruncatedSeries(family_polys(FamilySpec(Family.LEGENDRE), order), order)
+    numerator, h = _GF[kind]
+    denominator = denominator_series(order)
+    if alpha % h:
+        factor = denominator.pow(alpha).inverse().sqrt()
     else:
-        numerator = TruncatedSeries(
-            [LaurentPoly.constant(c) for c in _GF_NUMERATORS[kind]], order
-        )
-        base = numerator * denominator_series(order).inverse()
-    return base if alpha == 1 else base.pow(alpha)
+        factor = denominator.pow(alpha // h).inverse()
+    return TruncatedSeries(numerator, order).pow(alpha) * factor
 
 
 def x_minus_t_inverse_pow(k: int, order: int) -> TruncatedSeries:

@@ -55,7 +55,7 @@ from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 from chebident.exact import binomial, falling_factorial
-from chebident.families import Family, FamilySpec, _rows, family_poly
+from chebident.families import Family, FamilySpec, _require_int, _rows, family_poly
 from chebident.laurent import LaurentPoly
 from chebident.report import ReportEntry, VerificationReport
 from chebident.triangle import triangle_recurrence
@@ -302,7 +302,8 @@ def _check_args(n: int, mode: str, points, first_kind: str = "gf", **orders: int
 
     n < 0 and any order (N or alpha) < 1 would leave the sums empty, and an
     empty point set would pass every numeric cell.  x = 0 is rejected
-    because the sides carry negative powers of x.
+    because the sides carry negative powers of x.  A bool or non-int index
+    is a TypeError: True would certify as n = 1 and report "n": true.
     """
     if mode not in ("symbolic", "numeric"):
         raise ValueError(f"mode must be 'symbolic' or 'numeric', got {mode!r}")
@@ -313,11 +314,10 @@ def _check_args(n: int, mode: str, points, first_kind: str = "gf", **orders: int
             raise ValueError("points must not be empty")
         if any(x0 == 0 for x0 in points):
             raise ValueError("points must be nonzero")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    for name, value in orders.items():
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    for name, value, least in (("n", n, 0), *((k, v, 1) for k, v in orders.items())):
+        _require_int(name, value)
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def _certify(identity: IdentityId, n: int, mode: str, points, **params) -> ReportEntry:
@@ -403,8 +403,11 @@ def _select(identities, n_max: int, N_max: int) -> list:
     """The selected identities in catalog order, each with cells on the grid.
 
     Raises ValueError for a negative grid or an identity the grid gives no
-    cells, which would otherwise pass vacuously.
+    cells, which would otherwise pass vacuously, and TypeError for a bool
+    or non-int bound.
     """
+    _require_int("n_max", n_max)
+    _require_int("N_max", N_max)
     if n_max < 0 or N_max < 0:
         raise ValueError("n_max and N_max must be >= 0")
     wanted = {IdentityId(x) for x in identities}

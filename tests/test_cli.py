@@ -45,6 +45,26 @@ class TestPoly:
         assert code == 2
 
 
+class TestOutputErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["poly", "--family", "U", "--n", "2"],
+            ["verify", "thm6", "--n-max", "1", "--N-max", "1"],
+        ],
+        ids=["poly", "verify"],
+    )
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, argv):
+        path = tmp_path / "missing" / "out.txt"
+        code = run(argv + ["--output", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("chebident: error: ")
+        assert captured.err.count("\n") == 1
+        assert not path.exists()
+
+
 class TestTriangle:
     def test_csv_golden(self, capsys):
         code, out = invoke(capsys, "triangle", "--n-max", "4", "--format", "csv")

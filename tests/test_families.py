@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from chebident import families
 from chebident.exact import binomial
 from chebident.families import (
     Family,
@@ -56,6 +57,13 @@ class TestBaseFamilies:
         with pytest.raises(ValueError):
             poly(Family.U, -1)
 
+    @pytest.mark.parametrize("n", [True, 2.0, Fraction(2), "2"])
+    def test_rejects_non_int_index(self, n):
+        with pytest.raises(TypeError, match=r"^n must be an int"):
+            poly(Family.U, n)
+        with pytest.raises(TypeError, match=r"^n_max must be an int"):
+            family_polys(FamilySpec(Family.U), n)
+
     def test_always_true_polynomials(self):
         for kind in Family:
             for n in range(12):
@@ -66,6 +74,11 @@ class TestFamilySpec:
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             FamilySpec(Family.U, 0)
+
+    @pytest.mark.parametrize("alpha", [True, 1.5, 2.0, Fraction(3, 2)])
+    def test_rejects_non_int_alpha(self, alpha):
+        with pytest.raises(TypeError, match=r"^alpha must be an int"):
+            FamilySpec(Family.U, alpha)
 
     def test_rejects_higher_order_classical(self):
         with pytest.raises(ValueError):
@@ -116,6 +129,23 @@ class TestSeriesOracle:
         expansion = gf_expand(kind, alpha, order)
         for n in range(order + 1):
             assert expansion.coefficient(n) == poly(kind, n, alpha=alpha)
+
+    def test_perturbed_legendre_rows_fail(self, monkeypatch):
+        # The oracle must not read the rows it checks: corrupt the lambda = 1/2
+        # Gegenbauer rows behind Legendre and the comparison has to fail.
+        real = families._gegenbauer_rows
+
+        def perturbed(lam, n):
+            rows = list(real(lam, n))
+            if lam == Fraction(1, 2):
+                rows[3] = rows[3] + LaurentPoly.x_power(1)
+            return rows
+
+        monkeypatch.setattr(families, "_gegenbauer_rows", perturbed)
+        monkeypatch.setattr(families, "_cache", {})
+        rows = family_polys(FamilySpec(Family.LEGENDRE), 12)
+        expansion = gf_expand(Family.LEGENDRE, 1, 12)
+        assert [n for n in range(13) if expansion.coefficient(n) != rows[n]] == [3]
 
 
 class TestStructure:

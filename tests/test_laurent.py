@@ -239,7 +239,7 @@ class TestKernels:
         for a, b in term_pairs:
             for result in (
                 _backend.add_terms(a, b),
-                _backend.sub_terms(a, b),
+                (lp(a) - lp(b)).terms,
                 _backend.mul_terms(a, b),
                 _backend.scale_terms(a, Fraction(-2, 3)),
             ):
@@ -252,16 +252,24 @@ class TestKernels:
             pruned = _backend.prune_zeros(acc)
             assert all(pruned.values())
             assert lp(pruned) == lp(a) + 3 * lp(b).shift(-2)
+            acc = dict(a)
+            _backend.iadd_mul(acc, b, a)
+            pruned = _backend.prune_zeros(acc)
+            assert all(pruned.values())
+            assert lp(pruned) == lp(a) + lp(b) * lp(a)
 
     def test_cancellation_prunes_entries(self):
         a = {0: 1, 2: 5}
         b = {0: -1, 2: -5}
         assert _backend.add_terms(a, b) == {}
-        assert _backend.sub_terms(a, a) == {}
+        assert (lp(a) - lp(a)).is_zero()
         assert _backend.mul_terms(a, {}) == {}
         assert _backend.scale_terms(a, 0) == {}
         acc = dict(a)
         _backend.iadd_scaled_shifted(acc, a, -1, 0)
+        assert _backend.prune_zeros(acc) == {}
+        acc = dict(a)
+        _backend.iadd_mul(acc, a, {0: -1})
         assert _backend.prune_zeros(acc) == {}
 
     def test_cauchy_mul_is_canonical_convolution(self):

@@ -85,6 +85,24 @@ class TestInverse:
             series([X, 1], 2).inverse()
 
 
+class TestSqrt:
+    @pytest.mark.parametrize("alpha", [1, 3, 5])
+    def test_square_is_input(self, alpha):
+        s = denominator_series(24).pow(alpha).inverse()  # F^alpha
+        root = s.sqrt()
+        assert root * root == s
+
+    def test_rational_input(self):
+        s = series([1, Fraction(2, 3), LaurentPoly({-1: Fraction(1, 5), 2: 7})], 10)
+        root = s.sqrt()
+        assert root * root == s
+
+    @pytest.mark.parametrize("leading", [0, 4, -1, X])
+    def test_rejects_constant_term_other_than_one(self, leading):
+        with pytest.raises(ValueError):
+            series([leading, 1], 4).sqrt()
+
+
 class TestPow:
     def test_power_one(self):
         a = series([1, 2, 3], 2)
@@ -178,6 +196,11 @@ class TestGfExpand:
     def test_power_consistency(self, kind, alpha):
         order = 24
         assert gf_expand(kind, alpha, order) == gf_expand(kind, 1, order).pow(alpha)
+
+    def test_legendre_square_is_u(self):
+        # (1-2xt+t^2)^(-1/2) squared is the U generating function
+        order = 24
+        assert gf_expand(Family.LEGENDRE, 1, order).pow(2) == gf_expand(Family.U, 1, order)
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,10 @@
-"""Family rows against sympy's own Chebyshev, Legendre and Gegenbauer code.
+"""Family rows and the series oracle against sympy's own Chebyshev,
+Legendre and Gegenbauer code.
 
-This is the one check of the base Legendre rows that does not itself go
-through the Gegenbauer recurrence: `series.gf_expand` builds its Legendre
-series from `family_polys`.
+Both of the package's routes are checked here against a third one: the
+Gegenbauer recurrence behind `family_polys`, and `series.gf_expand`, which
+expands (1 - 2xt + t^2)^(-alpha/2) by a series square root and reads no
+family rows.
 """
 
 from fractions import Fraction
@@ -10,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from chebident.families import Family, FamilySpec, family_polys
+from chebident.series import gf_expand
 
 sympy = pytest.importorskip("sympy")
 
@@ -24,8 +27,9 @@ def terms_of(expr):
     }
 
 
-def assert_rows(kind, alpha, reference):
-    rows = family_polys(FamilySpec(kind, alpha), N_MAX)
+def assert_rows(kind, alpha, reference, rows=None):
+    if rows is None:
+        rows = family_polys(FamilySpec(kind, alpha), N_MAX)
     for n, row in enumerate(rows):
         assert row.terms == terms_of(reference(n)), (kind, alpha, n)
 
@@ -51,3 +55,10 @@ def test_u_powers_are_gegenbauer(alpha):
 def test_legendre_powers_are_gegenbauer(alpha):
     half = sympy.Rational(alpha, 2)
     assert_rows(Family.LEGENDRE, alpha, lambda n: sympy.gegenbauer(n, half, X))
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3, 4])
+def test_legendre_series_oracle_is_gegenbauer(alpha):
+    half = sympy.Rational(alpha, 2)
+    rows = gf_expand(Family.LEGENDRE, alpha, N_MAX).coeffs
+    assert_rows(Family.LEGENDRE, alpha, lambda n: sympy.gegenbauer(n, half, X), rows)

@@ -3,6 +3,7 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
+from hypothesis import given, strategies as st
 
 from chebident import verify
 from chebident.exact import binomial, falling_factorial
@@ -350,12 +351,64 @@ class TestIndexValidation:
         with pytest.raises(ValueError, match=rf"^{name} must be >= "):
             check(*args)
 
+    # Each entry point with the names of its index arguments, in order.
+    ENTRY_POINTS = [
+        (verify_intro_U_from_T, ("n",)),
+        (verify_U_from_Legendre, ("n", "alpha")),
+    ] + [
+        (check, ("n", "N"))
+        for check in (
+            verify_thm2,
+            verify_cor3,
+            verify_cor4_reconstructed,
+            verify_thm5,
+            verify_thm6,
+            verify_thm7,
+        )
+    ]
+
+    @given(
+        entry=st.sampled_from(ENTRY_POINTS),
+        position=st.integers(0, 1),
+        bad=st.one_of(
+            st.integers(max_value=-1),
+            st.booleans(),
+            st.floats(allow_nan=False),
+            st.fractions(),
+            st.text(max_size=2),
+            st.none(),
+        ),
+    )
+    def test_bad_index_raises_before_any_work(self, entry, position, bad):
+        check, names = entry
+        position = min(position, len(names) - 1)
+        args = [2] * len(names)
+        args[position] = bad
+        expected = ValueError if type(bad) is int else TypeError
+        # A side builder that runs at all means validation came too late.
+        catalog = {
+            identity: row._replace(sides=_no_work) for identity, row in verify._CATALOG.items()
+        }
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "_CATALOG", catalog)
+            with pytest.raises(expected, match=rf"^{names[position]} must be "):
+                check(*args)
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("sides were built for an invalid index")
+
 
 class TestRunSuite:
     def test_full_grid_passes(self):
         report = run_suite(ALL_IDS, n_max=8, N_max=3)
         assert report.all_passed
         assert report.entries  # nonempty
+
+    @pytest.mark.parametrize("n_max,N_max,name", [(True, 2, "n_max"), (4, 2.0, "N_max")])
+    def test_rejects_non_int_bounds(self, n_max, N_max, name):
+        with pytest.raises(TypeError, match=rf"^{name} must be an int"):
+            run_suite([IdentityId.THM2], n_max, N_max)
 
     def test_empty_identity_set(self):
         assert run_suite([], n_max=4, N_max=2).entries == []
