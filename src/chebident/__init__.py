@@ -39,7 +39,6 @@ from chebident.triangle import (
 )
 from chebident.verify import (
     IdentityId,
-    compositions3,
     run_suite,
     sample_points,
     verify_U_from_Legendre,
@@ -67,7 +66,6 @@ __all__ = [
     "a1_closed",
     "a_closed",
     "binomial",
-    "compositions3",
     "double_factorial",
     "explicit_T",
     "falling_factorial",

@@ -77,7 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
         "defining-relation", help="certify the series defining relation"
     )
     rel.add_argument("--N-max", type=int, required=True, help="check N = 1..N_max")
-    rel.add_argument("--order", type=int, default=24, help="series order (default 24)")
+    rel.add_argument(
+        "--order", type=int, default=24, help="series order, >= 3 * N-max (default 24)"
+    )
     rel.add_argument("--timings", action="store_true", help="include wall-clock ms")
     rel.add_argument("--format", choices=_FORMATS, default="pretty")
     rel.add_argument("--output", help="write to this path instead of stdout")
@@ -163,8 +165,8 @@ def _cmd_verify(args, parser) -> int:
 def _cmd_defining_relation(args, parser) -> int:
     if args.N_max < 1:
         parser.error("--N-max must be >= 1")
-    if args.order < args.N_max:
-        parser.error("--order must be >= --N-max")
+    if args.order < 3 * args.N_max:
+        parser.error("--order must be >= 3 * --N-max")
     report = VerificationReport(
         [verify_defining_relation(N, args.order) for N in range(1, args.N_max + 1)]
     )

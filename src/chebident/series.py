@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from chebident import _backend as _k
 from chebident.exact import binomial
-from chebident.families import Family
+from chebident.families import Family, _require_int
 from chebident.laurent import LaurentPoly
 
 __all__ = [
@@ -141,6 +141,7 @@ class TruncatedSeries:
 
     def pow(self, k: int) -> "TruncatedSeries":
         """k-fold product (k >= 1), truncated at this series' order."""
+        _require_int("k", k)
         if k < 1:
             raise ValueError(f"series power must be >= 1, got {k}")
         result = self
@@ -248,6 +249,8 @@ def gf_expand(kind, alpha: int, order: int) -> TruncatedSeries:
     square root of the inverse of (1-2xt+t^2)^alpha.
     """
     kind = Family(kind)
+    _require_int("alpha", alpha)
+    _require_int("order", order)
     if alpha < 1:
         raise ValueError(f"generating-function order must be >= 1, got {alpha}")
     if kind is Family.T_CLASSICAL:
@@ -265,8 +268,12 @@ def gf_expand(kind, alpha: int, order: int) -> TruncatedSeries:
 
 def x_minus_t_inverse_pow(k: int, order: int) -> TruncatedSeries:
     """(x - t)^(-k) for k >= 1: coefficient of t^m is C(k-1+m, m) x^(-k-m)."""
+    _require_int("k", k)
+    _require_int("order", order)
     if k < 1:
         raise ValueError(f"inverse power must be >= 1, got {k}")
+    if order < 0:
+        raise ValueError(f"series order must be >= 0, got {order}")
     return TruncatedSeries._raw(
         tuple(
             LaurentPoly.x_power(-k - m, binomial(k - 1 + m, m))
@@ -277,6 +284,8 @@ def x_minus_t_inverse_pow(k: int, order: int) -> TruncatedSeries:
 
 def x_minus_t_pow(k: int, order: int) -> TruncatedSeries:
     """(x - t)^k for k >= 0, exactly: coefficient of t^j is C(k, j) (-1)^j x^(k-j)."""
+    _require_int("k", k)
+    _require_int("order", order)
     if k < 0:
         raise ValueError(f"power must be >= 0, got {k}")
     return TruncatedSeries(

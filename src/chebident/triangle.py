@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from chebident.exact import double_factorial, falling_factorial
+from chebident.families import _require_int
 from chebident.laurent import LaurentPoly
 from chebident.report import ReportEntry
 from chebident.series import TruncatedSeries, denominator_series, x_minus_t_pow
@@ -83,6 +84,7 @@ def _rows_up_to(n_max: int) -> list[tuple[int, ...]]:
 
 def triangle_recurrence(n_max: int) -> Triangle:
     """Build rows 1..n_max by the recurrence (cached across calls)."""
+    _require_int("n_max", n_max)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     return Triangle(tuple(_rows_up_to(n_max)))
@@ -90,6 +92,7 @@ def triangle_recurrence(n_max: int) -> Triangle:
 
 def a1_closed(N: int) -> int:
     """Closed form a_1(N) = (2N-3)!!, with (-1)!! = 1."""
+    _require_int("N", N)
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     return double_factorial(2 * N - 3)
@@ -115,6 +118,8 @@ def a_closed(i: int, N: int) -> int:
     odd j, so the sum is accumulated in exact rationals; it must collapse
     to a positive integer, anything else signals an index-pattern error.
     """
+    _require_int("i", i)
+    _require_int("N", N)
     if not 2 <= i <= N:
         raise ValueError(f"need 2 <= i <= N, got i={i}, N={N}")
     total = Fraction(0)
@@ -137,16 +142,24 @@ def a_closed(i: int, N: int) -> int:
 def verify_defining_relation(N: int, order: int) -> ReportEntry:
     """Certify 2^N N! (x-t)^(2N) F^(N+1) = sum_i a_i(N) (x-t)^i F^(i) in t-series.
 
-    Both sides are formed as truncated series (the negative powers of
+    A PASS proves the relation for all t-orders, not only the compared
+    ones.  Both sides are formed as truncated series (the negative powers of
     (x-t) are cleared by multiplying through by (x-t)^(2N)) and compared
     exactly up to order ``order - N`` (differentiating i times costs i
-    orders).  Failure is reported, not raised; the residual recorded on
-    failure is the lowest-order nonzero coefficient of the difference.
+    orders).  Since F^(i) = P_i / D^(i+1) with deg_t P_i <= i and
+    D = 1 - 2xt + t^2, D^(N+1) times the difference is a polynomial in t
+    of degree <= 2N.  It vanishes, and with it the whole series identity,
+    once the comparison reaches t^(2N), so ``order`` must be >= 3N; a
+    smaller order raises ValueError.  Failure is reported, not raised; the
+    residual recorded on failure is the lowest-order nonzero coefficient
+    of the difference.
     """
+    _require_int("N", N)
+    _require_int("order", order)
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    if order < N:
-        raise ValueError(f"series order {order} must be at least N={N}")
+    if order < 3 * N:
+        raise ValueError(f"series order {order} must be at least 3N={3 * N}")
     start = time.perf_counter()
 
     D = denominator_series(order)

@@ -27,9 +27,16 @@ l = 0..n unless stated):
                           T~_p^(N+1) = [plain sum] + [sign-alternating sum]
                           over i, l with T~_{p+l} factors
 
-The right-hand sums of thm5, thm6 and thm7 differ only in the weight of a
-term by the parity of i-l+s: (1, 1), (1, -1) and, since
-1 + (-1)^{i-l} (-1)^s is 2 or 0, (2, 0) for thm7.
+The right-hand sums of thm5, thm6 and thm7 weight a term by the parity of
+i-l+s: (1, 1), (1, -1) and, since 1 + (-1)^{i-l} (-1)^s is 2 or 0, (2, 0)
+for thm7.  With k = p+l, (i!/l!) (k)_l = i! C(k, l), and c = i-l+s =
+n-m-k+i does not depend on l, so Chu-Vandermonde,
+sum_l C(k, l) C(c, i-l) = C(n-m+i, i), sums the l-loop.  What is left
+is thm2's sum, `_rhs`, applied to the parity running sum
+k -> even E_k + odd E_{k-1} of the base row, with E_k = base(k) + E_{k-2}:
+the series form of (1 -/+ t)^(-1) G = F.
+thm7's left-hand weights collapse the same way, because
+(1-t)^(-N-1) (1+t)^(-N-1) = (1-t^2)^(-N-1).
 
 First-kind symbols inside thm7 use the generating-function normalization
 T~ (family T_gf); `first_kind="classical"` substitutes the classical T_n
@@ -54,7 +61,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
-from chebident.exact import binomial, falling_factorial
+from chebident.exact import binomial
 from chebident.families import Family, FamilySpec, _require_int, _rows, family_poly
 from chebident.laurent import LaurentPoly
 from chebident.report import ReportEntry, VerificationReport
@@ -62,7 +69,6 @@ from chebident.triangle import triangle_recurrence
 
 __all__ = [
     "IdentityId",
-    "compositions3",
     "run_suite",
     "sample_points",
     "suite_cells",
@@ -111,14 +117,6 @@ def _convolution(f, g, n: int) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
-def compositions3(n: int) -> tuple:
-    """All ordered triples (m, s, p) of nonnegative integers with m+s+p = n."""
-    return tuple(
-        (m, s, n - m - s) for m in range(n + 1) for s in range(n - m + 1)
-    )
-
-
-@lru_cache(maxsize=None)
 def _legendre_selfconv(k: int) -> LaurentPoly:
     """sum_{j=0..k} p_j p_{k-j}; equals U_k (certified by U_from_Legendre)."""
     p = _base(Family.LEGENDRE)
@@ -138,58 +136,49 @@ def _sides_legendre(n: int, alpha: int):
     return _base(Family.U, alpha)(n), _convolution(p, p, n)
 
 
-def _thm2_rhs(n: int, N: int, base) -> LaurentPoly:
+def _rhs(n: int, N: int, base) -> LaurentPoly:
+    """The right-hand side shared by thm2 through thm7, without a prefactor.
+
+    sum_{i=1..N} sum_{m=0..n} a_i(N) i! C(2N+m-i-1, m) C(n-m+i, i)
+      x^{i-2N-m} base(n-m+i)
+
+    This is thm2's l-sum with m = n - l and (K)_i = i! C(K, i).  The
+    integer weights are summed per (n-m+i, i-2N-m) first.
+    """
     row = triangle_recurrence(N).row(N)
     coef: dict = {}
     for i in range(1, N + 1):
-        ai = row[i - 1]
-        for l in range(n + 1):
-            key = (l + i, i + l - 2 * N - n)
-            c = ai * binomial(2 * N + n - l - i - 1, n - l) * falling_factorial(l + i, i)
+        ai = row[i - 1] * math.factorial(i)
+        for m in range(n + 1):
+            key = (n - m + i, i - 2 * N - m)
+            c = ai * binomial(2 * N + m - i - 1, m) * binomial(n - m + i, i)
             coef[key] = coef.get(key, 0) + c
-    return _prefactor(N) * _combine(coef, base)
+    return _combine(coef, base)
+
+
+def _parity_sums(base, even: int, odd: int, top: int):
+    """The map k -> even E_k + odd E_{k-1} for 0 <= k <= top.
+
+    E_k = base(k) + E_{k-2} sums every other row down from k, so the map
+    weights base(j) by ``even`` when k - j is even and by ``odd`` otherwise.
+    """
+    E = [LaurentPoly.zero(), LaurentPoly.zero()]  # E_{-2}, E_{-1}
+    for k in range(top + 1):
+        E.append(base(k) + E[k])
+    return lambda k: even * E[k + 2] + odd * E[k + 1]
 
 
 def _sides_thm2(n: int, N: int):
-    return _base(Family.U, N + 1)(n), _thm2_rhs(n, N, _base(Family.U))
+    return _base(Family.U, N + 1)(n), _prefactor(N) * _rhs(n, N, _base(Family.U))
 
 
 def _sides_cor3(n: int, N: int):
     p = _base(Family.LEGENDRE, N + 1)
-    return _convolution(p, p, n), _thm2_rhs(n, N, _base(Family.U))
+    return _convolution(p, p, n), _prefactor(N) * _rhs(n, N, _base(Family.U))
 
 
 def _sides_cor4(n: int, N: int):
-    return _base(Family.U, N + 1)(n), _thm2_rhs(n, N, _legendre_selfconv)
-
-
-def _triple_sum(n: int, N: int, base, even: int, odd: int) -> LaurentPoly:
-    """Common right-hand side of thm5, thm6 and thm7.
-
-    sum_{i=1..N} sum_{l=0..i} a_i(N) (i!/l!)
-      sum_{m+s+p=n} w C(2N+m-i-1, m) C(i-l+s, s) (p+l)_l x^{i-2N-m} base(p+l)
-
-    with w = even when i-l+s is even and w = odd otherwise.  The integer
-    weights are summed per (p+l, i-2N-m) first.
-    """
-    row = triangle_recurrence(N).row(N)
-    triples = compositions3(n)
-    coef: dict = {}
-    for i in range(1, N + 1):
-        ai = row[i - 1]
-        outer = [binomial(2 * N + m - i - 1, m) for m in range(n + 1)]
-        for l in range(i + 1):
-            pref = ai * (math.factorial(i) // math.factorial(l))
-            inner = [
-                (odd if (i - l + s) % 2 else even) * binomial(i - l + s, s)
-                for s in range(n + 1)
-            ]
-            fall = [falling_factorial(p + l, l) for p in range(n + 1)]
-            for m, s, p in triples:
-                if inner[s]:
-                    key = (p + l, i - 2 * N - m)
-                    coef[key] = coef.get(key, 0) + pref * outer[m] * inner[s] * fall[p]
-    return _combine(coef, base)
+    return _base(Family.U, N + 1)(n), _prefactor(N) * _rhs(n, N, _legendre_selfconv)
 
 
 def _sides_thm5_6(kind: Family, sign: int, n: int, N: int):
@@ -198,7 +187,7 @@ def _sides_thm5_6(kind: Family, sign: int, n: int, N: int):
     lhs = LaurentPoly.combination(
         (sign ** (n - l) * binomial(N + n - l, n - l), 0, higher(l)) for l in range(n + 1)
     )
-    return lhs, _prefactor(N) * _triple_sum(n, N, _base(kind), 1, sign)
+    return lhs, _prefactor(N) * _rhs(n, N, _parity_sums(_base(kind), 1, sign, n + N))
 
 
 def _sides_thm7(n: int, N: int, first_kind: str):
@@ -211,12 +200,12 @@ def _sides_thm7(n: int, N: int, first_kind: str):
             # FamilySpec keeps T_classical at order 1; the guard reads the table.
             return _rows(Family.T_CLASSICAL, N + 1, p)[p]
 
-    weights: dict = {}
-    for s, m, p in compositions3(n):
-        weights[p] = weights.get(p, 0) + (-1) ** m * binomial(N + s, s) * binomial(m + N, m)
+    # (1-t)^(-N-1) (1+t)^(-N-1) = (1-t^2)^(-N-1): only p = n - 2j survives.
     scale = 2 ** (N + 1) * math.factorial(N)
-    lhs = LaurentPoly.combination((scale * c, 0, higher(p)) for p, c in weights.items())
-    return lhs, _triple_sum(n, N, base, 2, 0)
+    lhs = LaurentPoly.combination(
+        (scale * binomial(N + j, N), 0, higher(n - 2 * j)) for j in range(n // 2 + 1)
+    )
+    return lhs, _rhs(n, N, _parity_sums(base, 2, 0, n + N))
 
 
 # -- the catalog -----------------------------------------------------------------

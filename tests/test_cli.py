@@ -186,8 +186,9 @@ class TestVerify:
 
 class TestGoldenDigests:
     # sha256 of the report bytes, recorded before the identity catalog became
-    # one table; a refactor must reproduce them exactly.  The classical run
-    # pins thm7's failing residuals too.
+    # one table (the 16x6 and 12x5 grids before the Vandermonde collapse of
+    # the triple sums); a refactor must reproduce them exactly.  The
+    # classical runs pin thm7's failing residuals too.
     @pytest.mark.parametrize(
         "args,digest",
         [
@@ -203,8 +204,22 @@ class TestGoldenDigests:
                 ("--n-max", "6", "--N-max", "3", "--first-kind", "classical", "--format", "csv"),
                 "c0631795e2b90b8951bc068e44648a0a73f191f3257edd2d0b1582be248f6e06",
             ),
+            (
+                ("--n-max", "16", "--N-max", "6", "--format", "json"),
+                "ef7a77aac86167487a4be058cc1abaed0c6bbf0441e875a6b52ca30a97410a4b",
+            ),
+            (
+                ("--n-max", "12", "--N-max", "5", "--first-kind", "classical", "--format", "csv"),
+                "34f54bc75a7705e90c73d14f75d5af6896bd0dd0168012e1a12e87676f84270d",
+            ),
         ],
-        ids=["symbolic-json", "numeric-json", "classical-csv"],
+        ids=[
+            "symbolic-json",
+            "numeric-json",
+            "classical-csv",
+            "symbolic-json-16x6",
+            "classical-csv-12x5",
+        ],
     )
     def test_verify_all(self, capsys, args, digest):
         code, out = invoke(capsys, "verify", "all", *args)
@@ -223,6 +238,22 @@ class TestDefiningRelation:
         code = run(["defining-relation", "--N-max", "6", "--order", "4"])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--N-max", "10"), ("--N-max", "4", "--order", "11")],
+        ids=["default-order", "one-below"],
+    )
+    def test_order_below_degree_bound_is_usage_error(self, capsys, argv):
+        # Below 3 * N-max a PASS would not prove the relation for all t-orders.
+        code = run(["defining-relation", *argv])
+        assert code == 2
+        assert "--order must be >= 3 * --N-max" in capsys.readouterr().err
+
+    def test_order_at_degree_bound_passes(self, capsys):
+        code, out = invoke(capsys, "defining-relation", "--N-max", "4", "--order", "12")
+        assert code == 0
+        assert out.splitlines()[-1] == "all 4 cells passed"
 
 
 class TestUsage:

@@ -176,6 +176,11 @@ class TestXMinusTPowers:
         with pytest.raises(ValueError):
             x_minus_t_inverse_pow(0, 4)
 
+    def test_inverse_rejects_negative_order(self):
+        # It builds its coefficients directly, past the series constructor's check.
+        with pytest.raises(ValueError, match=r"^series order must be >= 0"):
+            x_minus_t_inverse_pow(2, -1)
+
 
 class TestGfExpand:
     @pytest.mark.parametrize(

@@ -4,7 +4,12 @@ import pytest
 
 from chebident import triangle
 from chebident.exact import double_factorial, falling_factorial
-from chebident.series import denominator_series
+from chebident.series import (
+    denominator_series,
+    gf_expand,
+    x_minus_t_inverse_pow,
+    x_minus_t_pow,
+)
 from chebident.triangle import (
     Triangle,
     a1_closed,
@@ -131,6 +136,17 @@ class TestDefiningRelation:
         with pytest.raises(ValueError):
             verify_defining_relation(4, 3)
 
+    @pytest.mark.parametrize("N", [1, 2, 5, 10])
+    def test_order_below_degree_bound_rejected(self, N):
+        # D^(N+1) (LHS - RHS) has t-degree <= 2N; the comparison reaches
+        # t^(order-N), so an order below 3N would not prove the relation.
+        with pytest.raises(ValueError, match=rf"at least 3N={3 * N}$"):
+            verify_defining_relation(N, 3 * N - 1)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    def test_passes_at_degree_bound(self, N):
+        assert verify_defining_relation(N, 3 * N).passed
+
     @pytest.mark.parametrize("N", range(1, 7))
     def test_inverse_of_power_is_power_of_inverse(self, N):
         # The left-hand side inverts (1-2xt+t^2)^(N+1) instead of powering F.
@@ -145,3 +161,39 @@ class TestDefiningRelation:
         entry = verify_defining_relation(3, 16)
         assert not entry.passed
         assert not entry.residual.is_zero()
+
+
+# Each public function that takes an index, its valid arguments, and the
+# names of the index arguments by position.
+INDEX_CALLS = [
+    (gf_expand, ("U", 2, 3), {1: "alpha", 2: "order"}),
+    (denominator_series(3).pow, (2,), {0: "k"}),
+    (verify_defining_relation, (1, 3), {0: "N", 1: "order"}),
+    (triangle_recurrence, (2,), {0: "n_max"}),
+    (a1_closed, (2,), {0: "N"}),
+    (a_closed, (2, 3), {0: "i", 1: "N"}),
+    (x_minus_t_pow, (2, 3), {0: "k", 1: "order"}),
+    (x_minus_t_inverse_pow, (2, 3), {0: "k", 1: "order"}),
+]
+
+
+class TestIntegerArguments:
+    # True would run as 1 and 2.0 as 2; 1.5 would fail late, if at all.
+    @pytest.mark.parametrize("bad", [True, 1.5, 2.0], ids=["bool", "float", "integral-float"])
+    @pytest.mark.parametrize(
+        "fn,args,position,name",
+        [
+            (fn, args, position, name)
+            for fn, args, names in INDEX_CALLS
+            for position, name in names.items()
+        ],
+        ids=[
+            f"{fn.__name__}-{name}" for fn, _, names in INDEX_CALLS for name in names.values()
+        ],
+    )
+    def test_rejects_non_int_index(self, fn, args, position, name, bad):
+        fn(*args)
+        args = list(args)
+        args[position] = bad
+        with pytest.raises(TypeError, match=rf"^{name} must be an int"):
+            fn(*args)

@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,14 +9,14 @@ from chebident import verify
 from chebident.exact import binomial, falling_factorial
 from chebident.families import Family, FamilySpec, family_poly
 from chebident.laurent import LaurentPoly
-from chebident.triangle import triangle_recurrence
+from chebident.triangle import Triangle, triangle_recurrence
 from chebident.verify import (
     _legendre_selfconv,
+    _parity_sums,
     _prefactor,
-    _thm2_rhs,
-    _triple_sum,
+    _rhs,
+    _sides_thm7,
     IdentityId,
-    compositions3,
     run_suite,
     sample_points,
     verify_U_from_Legendre,
@@ -30,6 +30,14 @@ from chebident.verify import (
 )
 
 ALL_IDS = list(IdentityId)
+
+
+@lru_cache(maxsize=None)
+def compositions3(n: int) -> tuple:
+    """All ordered triples (m, s, p) of nonnegative integers with m+s+p = n."""
+    return tuple(
+        (m, s, n - m - s) for m in range(n + 1) for s in range(n - m + 1)
+    )
 
 
 class TestCompositions:
@@ -169,10 +177,12 @@ class TestThm7:
             verify_thm7(1, 1, first_kind="both")
 
 
-# -- the per-term right-hand sides, kept as references ---------------------------
+# -- the replaced right-hand sides, kept as references --------------------------
 #
-# These are the loops the scalar-first assembly replaced: one polynomial
-# update per term, with no grouping of the integer weights.
+# The per-term loops are what the scalar-first assembly replaced: one
+# polynomial update per term, with no grouping of the integer weights.
+# triple_sum_grouped is the grouped (i, l, m, s, p) loop that the
+# Vandermonde collapse into _rhs over _parity_sums replaced.
 
 
 def thm2_rhs_per_term(n, N, base):
@@ -206,6 +216,38 @@ def triple_sum_per_term(n, N, base, inner_sign, outer_sign):
     return total
 
 
+def triple_sum_grouped(n, N, base, even, odd):
+    row = triangle_recurrence(N).row(N)
+    triples = compositions3(n)
+    coef: dict = {}
+    for i in range(1, N + 1):
+        ai = row[i - 1]
+        outer = [binomial(2 * N + m - i - 1, m) for m in range(n + 1)]
+        for l in range(i + 1):
+            pref = ai * (math.factorial(i) // math.factorial(l))
+            inner = [
+                (odd if (i - l + s) % 2 else even) * binomial(i - l + s, s)
+                for s in range(n + 1)
+            ]
+            fall = [falling_factorial(p + l, l) for p in range(n + 1)]
+            for m, s, p in triples:
+                if inner[s]:
+                    key = (p + l, i - 2 * N - m)
+                    coef[key] = coef.get(key, 0) + pref * outer[m] * inner[s] * fall[p]
+    return LaurentPoly.combination((c, e, base(k)) for (k, e), c in coef.items())
+
+
+def thm7_lhs_weights_by_compositions(n, N):
+    weights: dict = {}
+    for s, m, p in compositions3(n):
+        weights[p] = weights.get(p, 0) + (-1) ** m * binomial(N + s, s) * binomial(m + N, m)
+    return {p: c for p, c in weights.items() if c}
+
+
+def collapsed_triple_sum(n, N, base, even, odd):
+    return _rhs(n, N, _parity_sums(base, even, odd, n + N))
+
+
 BASES = {
     kind.value: partial(family_poly, FamilySpec(kind))
     for kind in (Family.U, Family.V, Family.W, Family.T_GF)
@@ -213,9 +255,9 @@ BASES = {
 BASES["Legendre_selfconv"] = _legendre_selfconv
 
 # The per-term sign flags (inner_sign, outer_sign) summed in the reference,
-# mapped to the (even, odd) parity weights of _triple_sum that reproduce them:
-# thm5, thm7's plain plus sign-alternating halves, a general weight pair with
-# neither weight zero nor the two equal up to sign, and thm6.
+# mapped to the (even, odd) parity weights of _parity_sums that reproduce
+# them: thm5, thm7's plain plus sign-alternating halves, a general weight
+# pair with neither weight zero nor the two equal up to sign, and thm6.
 TRIPLE_SUM_WEIGHTS = {
     ((False, False),): (1, 1),
     ((False, False), (True, True)): (2, 0),
@@ -229,7 +271,7 @@ class TestScalarFirstAssembly:
     def test_thm2_rhs_matches_per_term(self, base):
         for N in range(1, 4):
             for n in range(7):
-                assert _thm2_rhs(n, N, base) == thm2_rhs_per_term(n, N, base)
+                assert _prefactor(N) * _rhs(n, N, base) == thm2_rhs_per_term(n, N, base)
 
     @pytest.mark.parametrize("signs", list(TRIPLE_SUM_WEIGHTS))
     @pytest.mark.parametrize("base", list(BASES.values()), ids=list(BASES))
@@ -241,7 +283,44 @@ class TestScalarFirstAssembly:
                     (triple_sum_per_term(n, N, base, *flags) for flags in signs),
                     LaurentPoly.zero(),
                 )
-                assert _triple_sum(n, N, base, even, odd) == expected
+                assert collapsed_triple_sum(n, N, base, even, odd) == expected
+
+
+class TestVandermondeCollapse:
+    @pytest.mark.parametrize("weights", list(TRIPLE_SUM_WEIGHTS.values()))
+    @pytest.mark.parametrize("base", list(BASES.values()), ids=list(BASES))
+    def test_matches_grouped_triple_sum(self, base, weights):
+        for N in range(1, 7):
+            for n in range(17):
+                assert collapsed_triple_sum(n, N, base, *weights) == triple_sum_grouped(
+                    n, N, base, *weights
+                )
+
+    def test_thm7_lhs_weights(self):
+        # (1-t)^(-N-1) (1+t)^(-N-1) = (1-t^2)^(-N-1)
+        for N in range(1, 9):
+            for n in range(33):
+                collapsed = {n - 2 * j: binomial(N + j, N) for j in range(n // 2 + 1)}
+                assert thm7_lhs_weights_by_compositions(n, N) == collapsed
+
+    @pytest.mark.parametrize("kind", [Family.T_GF, Family.T_CLASSICAL])
+    def test_thm7_lhs_matches_compositions(self, kind):
+        first_kind = "gf" if kind is Family.T_GF else "classical"
+        for N in range(1, 4):
+            for n in range(9):
+                expected = LaurentPoly.combination(
+                    (2 ** (N + 1) * math.factorial(N) * c, 0, verify._rows(kind, N + 1, p)[p])
+                    for p, c in thm7_lhs_weights_by_compositions(n, N).items()
+                )
+                assert _sides_thm7(n, N, first_kind)[0] == expected
+
+    def test_perturbed_triangle_fails(self, monkeypatch):
+        rows = triangle_recurrence(3).rows
+        bad = Triangle(rows[:1] + ((rows[1][0] + 1, rows[1][1]),) + rows[2:])
+        monkeypatch.setattr(verify, "triangle_recurrence", lambda N: bad)
+        for check in (verify_thm2, verify_thm5, verify_thm6, verify_thm7):
+            assert check(3, 3).passed
+            assert not check(3, 2).passed, check.__name__
 
 
 class TestNumericMode:
