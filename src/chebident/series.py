@@ -53,6 +53,7 @@ class TruncatedSeries:
             if not polys:
                 raise ValueError("a series needs an order or at least one coefficient")
             order = len(polys) - 1
+        _require_int("order", order)
         if order < 0:
             raise ValueError(f"series order must be >= 0, got {order}")
         if len(polys) < order + 1:
@@ -88,6 +89,9 @@ class TruncatedSeries:
         return self._coeffs[m]
 
     def truncate(self, order: int) -> "TruncatedSeries":
+        _require_int("order", order)
+        if order < 0:
+            raise ValueError(f"series order must be >= 0, got {order}")
         if order > self.order:
             raise ValueError(f"cannot extend a series from order {self.order} to {order}")
         return TruncatedSeries._raw(self._coeffs[: order + 1])
@@ -235,6 +239,7 @@ _GF = {
 
 def denominator_series(order: int) -> TruncatedSeries:
     """The common denominator 1 - 2xt + t^2 as a series in t."""
+    _require_int("order", order)
     return TruncatedSeries(
         [LaurentPoly.one(), LaurentPoly.x_power(1, -2), LaurentPoly.one()], order
     )

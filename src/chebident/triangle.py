@@ -13,8 +13,13 @@ obey the recurrence
 
 seeded by a_1(1) = 1.  The recurrence is normative here; the closed forms
 (`a1_closed`, `a_closed`) are independent cross-checks, and
-`verify_defining_relation` certifies the defining relation itself at the
-series level.
+`verify_defining_relation` certifies the defining relation itself.  With
+D = 1 - 2xt + t^2, multiplying the relation by (x-t)^(2N) D^(N+1) clears
+every denominator and leaves a polynomial identity in t of degree <= 2N,
+which is checked exactly; nothing is inverted.  A PASS therefore proves
+the relation for all t-orders.  The `order` argument names the t-series
+comparison the certificate stands for and must be >= 3N, the order at
+which that comparison would reach t^(2N).
 
 Entries grow superexponentially (a_1(13) = 23!! > 3*10^11), hence exact
 big integers throughout.
@@ -140,19 +145,25 @@ def a_closed(i: int, N: int) -> int:
 
 
 def verify_defining_relation(N: int, order: int) -> ReportEntry:
-    """Certify 2^N N! (x-t)^(2N) F^(N+1) = sum_i a_i(N) (x-t)^i F^(i) in t-series.
+    """Certify 2^N N! F^(N+1) = sum_i a_i(N) (x-t)^(i-2N) F^(i) for all t-orders.
 
-    A PASS proves the relation for all t-orders, not only the compared
-    ones.  Both sides are formed as truncated series (the negative powers of
-    (x-t) are cleared by multiplying through by (x-t)^(2N)) and compared
-    exactly up to order ``order - N`` (differentiating i times costs i
-    orders).  Since F^(i) = P_i / D^(i+1) with deg_t P_i <= i and
-    D = 1 - 2xt + t^2, D^(N+1) times the difference is a polynomial in t
-    of degree <= 2N.  It vanishes, and with it the whole series identity,
-    once the comparison reaches t^(2N), so ``order`` must be >= 3N; a
-    smaller order raises ValueError.  Failure is reported, not raised; the
-    residual recorded on failure is the lowest-order nonzero coefficient
-    of the difference.
+    With D = 1 - 2xt + t^2 and F^(i) = P_i / D^(i+1), where P_0 = 1 and
+    P_i = P_{i-1}' D - i P_{i-1} D', multiplying through by
+    (x-t)^(2N) D^(N+1) clears every denominator.  What remains is the
+    polynomial identity
+
+        2^N N! (x-t)^(2N) = sum_{i=1..N} a_i(N) (x-t)^i P_i D^(N-i)
+
+    in t, of degree <= 2N (deg_t P_i <= i), checked exactly with series
+    of order 2N, so a PASS proves the relation for all t-orders.
+    ``order`` is the t-order of the series comparison this certificate
+    stands for (differentiating i times costs i orders, so that
+    comparison reaches t^(order-N)).  The series difference is the
+    polynomial difference times D^(-N-1), whose constant term is 1, so
+    both have the same lowest nonzero coefficient, at some t^k with
+    k <= 2N.  ``order`` must be >= 3N, so that k <= order - N; a smaller
+    order raises ValueError.  Failure is reported, not raised; the
+    residual recorded on failure is that lowest nonzero coefficient.
     """
     _require_int("N", N)
     _require_int("order", order)
@@ -162,35 +173,28 @@ def verify_defining_relation(N: int, order: int) -> ReportEntry:
         raise ValueError(f"series order {order} must be at least 3N={3 * N}")
     start = time.perf_counter()
 
-    D = denominator_series(order)
-    F = D.inverse()
+    degree = 2 * N
+    D = denominator_series(degree)
+    x_t = x_minus_t_pow(1, degree)
     row = _rows_up_to(N)[N - 1]
 
-    # F^(N+1) is the inverse of D^(N+1), which has only 2N+3 terms, so it
-    # costs O(order*N) coefficient products; every power of the dense F
-    # costs O(order^2).
-    lhs = (2**N * math.factorial(N)) * (x_minus_t_pow(2 * N, order) * D.pow(N + 1).inverse())
-
-    rhs = TruncatedSeries.zero(order - 1)
-    deriv = F
+    # Horner in D: after step i, rhs = sum_{j<=i} a_j (x-t)^j P_j D^(i-j).
+    # D' = -2(x-t), so P_i = P_{i-1}' D + 2i (x-t) P_{i-1}; P_{i-1}' is
+    # padded back to order 2N, which is exact since deg_t P_{i-1} < 2N.
+    P = TruncatedSeries.one(degree)
+    rhs = TruncatedSeries.zero(degree)
     for i in range(1, N + 1):
-        deriv = deriv.derivative_t()  # order drops to order - i
-        rhs = rhs + row[i - 1] * (x_minus_t_pow(i, deriv.order) * deriv)
+        P = TruncatedSeries(P.derivative_t().coeffs, degree) * D + (2 * i) * (x_t * P)
+        rhs = rhs * D + row[i - 1] * (x_minus_t_pow(i, degree) * P)
+    lhs = (2**N * math.factorial(N)) * x_minus_t_pow(2 * N, degree)
 
-    diff = lhs - rhs  # truncates to order - N
-    residual = LaurentPoly.zero()
-    passed = True
-    for coeff in diff.coeffs:
-        if not coeff.is_zero():
-            residual = coeff
-            passed = False
-            break
+    residual = next((c for c in (lhs - rhs).coeffs if not c.is_zero()), LaurentPoly.zero())
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return ReportEntry(
         identity="defining_relation",
         n=order,
         N=N,
-        passed=passed,
+        passed=residual.is_zero(),
         residual=residual,
         rhs_polynomial=None,
         elapsed_ms=elapsed_ms,

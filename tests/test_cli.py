@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from chebident import triangle
 from chebident.cli import run
 
 
@@ -254,6 +255,33 @@ class TestDefiningRelation:
         code, out = invoke(capsys, "defining-relation", "--N-max", "4", "--order", "12")
         assert code == 0
         assert out.splitlines()[-1] == "all 4 cells passed"
+
+    # sha256 of the report bytes, recorded while the relation was still
+    # certified by dense t-series; the cleared-denominator certificate must
+    # reproduce them, failing residual included.
+    def test_golden_json(self, capsys):
+        code, out = invoke(
+            capsys, "defining-relation", "--N-max", "8", "--order", "40", "--format", "json"
+        )
+        assert code == 0
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == "86552ce01434b949b8e973520b80bd8ee6037c5e7803501d0502c803753b349a"
+        )
+
+    def test_perturbed_row_golden_json(self, capsys, monkeypatch):
+        rows = triangle._rows_up_to(3)
+        bad = rows[:2] + [(rows[2][0], rows[2][1] + 1, rows[2][2])]
+        monkeypatch.setattr(triangle, "_rows_up_to", lambda n_max: bad[:n_max])
+        code, out = invoke(
+            capsys, "defining-relation", "--N-max", "3", "--order", "12", "--format", "json"
+        )
+        assert code == 1
+        assert json.loads(out)[-1]["residual"] == "-8*x^4 + 2*x^2"
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == "f42fe0d54ce5735aa60bdd6cb70d0403fde852b6c1d0931194b8bed277c245ae"
+        )
 
 
 class TestUsage:

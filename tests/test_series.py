@@ -232,6 +232,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             s.truncate(5)
 
+    def test_truncate_rejects_negative_order(self):
+        # A slice to order -1 would return an empty series of order -1.
+        with pytest.raises(ValueError, match=r"^series order must be >= 0"):
+            series([1, 2, 3], 2).truncate(-1)
+
     def test_rejects_float_coefficients(self):
         with pytest.raises(TypeError):
             series([1.5], 1)

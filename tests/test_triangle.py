@@ -1,10 +1,14 @@
+import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from chebident import triangle
 from chebident.exact import double_factorial, falling_factorial
+from chebident.laurent import LaurentPoly
 from chebident.series import (
+    TruncatedSeries,
     denominator_series,
     gf_expand,
     x_minus_t_inverse_pow,
@@ -19,6 +23,39 @@ from chebident.triangle import (
 )
 
 GOLDEN_ROWS = [(1,), (1, 1), (3, 3, 1), (15, 15, 6, 1)]
+
+
+def defining_relation_series(N, order):
+    """The defining relation compared as dense t-series up to t^(order-N).
+
+    The former body of `verify_defining_relation`, kept as an independent
+    reference for the cleared-denominator certificate; returns
+    (passed, residual).
+    """
+    D = denominator_series(order)
+    F = D.inverse()
+    row = triangle._rows_up_to(N)[N - 1]
+
+    # F^(N+1) is the inverse of D^(N+1), which has only 2N+3 terms, so it
+    # costs O(order*N) coefficient products; every power of the dense F
+    # costs O(order^2).
+    lhs = (2**N * math.factorial(N)) * (x_minus_t_pow(2 * N, order) * D.pow(N + 1).inverse())
+
+    rhs = TruncatedSeries.zero(order - 1)
+    deriv = F
+    for i in range(1, N + 1):
+        deriv = deriv.derivative_t()  # order drops to order - i
+        rhs = rhs + row[i - 1] * (x_minus_t_pow(i, deriv.order) * deriv)
+
+    diff = lhs - rhs  # truncates to order - N
+    residual = LaurentPoly.zero()
+    passed = True
+    for coeff in diff.coeffs:
+        if not coeff.is_zero():
+            residual = coeff
+            passed = False
+            break
+    return passed, residual
 
 
 class TestRecurrence:
@@ -143,13 +180,21 @@ class TestDefiningRelation:
         with pytest.raises(ValueError, match=rf"at least 3N={3 * N}$"):
             verify_defining_relation(N, 3 * N - 1)
 
-    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 12, 16, 24])
     def test_passes_at_degree_bound(self, N):
         assert verify_defining_relation(N, 3 * N).passed
 
+    def test_work_does_not_depend_on_order(self):
+        # The certificate is a degree-2N polynomial identity; order only
+        # names the series comparison it stands for.
+        entry = verify_defining_relation(3, 10**5)
+        assert entry.passed
+        assert entry.n == 100000
+
     @pytest.mark.parametrize("N", range(1, 7))
     def test_inverse_of_power_is_power_of_inverse(self, N):
-        # The left-hand side inverts (1-2xt+t^2)^(N+1) instead of powering F.
+        # gf_expand's integer-lambda branch inverts (1-2xt+t^2)^lambda
+        # instead of powering F.
         for order in range(25):
             D = denominator_series(order)
             assert D.pow(N + 1).inverse() == D.inverse().pow(N + 1)
@@ -163,10 +208,33 @@ class TestDefiningRelation:
         assert not entry.residual.is_zero()
 
 
+class TestSeriesRouteAgreement:
+    @pytest.mark.parametrize("N", range(1, 9))
+    def test_both_routes_pass(self, N):
+        for order in (3 * N, 40):
+            assert verify_defining_relation(N, order).passed
+            assert defining_relation_series(N, order) == (True, LaurentPoly.zero())
+
+    @pytest.mark.parametrize("N", range(1, 7))
+    def test_perturbed_rows_fail_with_equal_residuals(self, N, monkeypatch):
+        rows = triangle._rows_up_to(N)
+        for i, delta, order in product(range(N), (1, -3), (3 * N, 3 * N + 5, 40)):
+            row = list(rows[-1])
+            row[i] += delta
+            bad = rows[:-1] + [tuple(row)]
+            monkeypatch.setattr(triangle, "_rows_up_to", lambda n_max: bad[:n_max])
+            entry = verify_defining_relation(N, order)
+            assert not entry.passed
+            assert (entry.passed, entry.residual) == defining_relation_series(N, order)
+
+
 # Each public function that takes an index, its valid arguments, and the
 # names of the index arguments by position.
 INDEX_CALLS = [
     (gf_expand, ("U", 2, 3), {1: "alpha", 2: "order"}),
+    (TruncatedSeries, ([1, 2], 3), {1: "order"}),
+    (denominator_series(3).truncate, (2,), {0: "order"}),
+    (denominator_series, (3,), {0: "order"}),
     (denominator_series(3).pow, (2,), {0: "k"}),
     (verify_defining_relation, (1, 3), {0: "N", 1: "order"}),
     (triangle_recurrence, (2,), {0: "n_max"}),
