@@ -40,7 +40,6 @@ from chebident.triangle import (
 from chebident.verify import (
     IdentityId,
     run_suite,
-    sample_points,
     verify_U_from_Legendre,
     verify_cor3,
     verify_cor4_reconstructed,
@@ -74,7 +73,6 @@ __all__ = [
     "gf_expand",
     "ode_residual",
     "run_suite",
-    "sample_points",
     "triangle_recurrence",
     "verify_U_from_Legendre",
     "verify_cor3",

@@ -62,7 +62,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ver.add_argument("--n-max", type=int, required=True, help="largest n")
     ver.add_argument("--N-max", type=int, required=True, help="largest N (or alpha)")
-    ver.add_argument("--mode", choices=["symbolic", "numeric"], default="symbolic")
+    ver.add_argument(
+        "--mode",
+        choices=["symbolic", "numeric"],
+        default="symbolic",
+        help="symbolic: exact zero residual; numeric: exact evaluation of both "
+        "sides at degree+1 integer points (also a proof, no residual reported)",
+    )
     ver.add_argument(
         "--first-kind",
         choices=["gf", "classical"],

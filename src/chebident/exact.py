@@ -17,6 +17,12 @@ BigRational = Fraction
 __all__ = ["BigRational", "binomial", "double_factorial", "falling_factorial"]
 
 
+def _require_int(name: str, value) -> None:
+    """Reject bools and non-integers before they reach range() or a recurrence."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
 def binomial(top: int, k: int) -> int:
     """Binomial coefficient C(top, k) with C(top, k) = 0 for k > top.
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from chebident.exact import binomial
+from chebident.exact import _require_int, binomial
 from chebident.laurent import LaurentPoly
 
 __all__ = [
@@ -48,12 +48,6 @@ class Family(str, Enum):
     V = "V"
     W = "W"
     LEGENDRE = "Legendre"
-
-
-def _require_int(name: str, value) -> None:
-    """Reject bools and non-integers before they reach range() or a recurrence."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -148,6 +142,7 @@ def explicit_T(n: int) -> LaurentPoly:
 
     T_n(x) = sum_{m=0..floor(n/2)} C(n, 2m) x^(n-2m) (x^2-1)^m
     """
+    _require_int("n", n)
     if n < 0:
         raise ValueError(f"polynomial index must be >= 0, got {n}")
     x2m1 = LaurentPoly({2: 1, 0: -1})

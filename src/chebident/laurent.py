@@ -15,6 +15,7 @@ import re
 from fractions import Fraction
 
 from chebident import _backend as _k
+from chebident.exact import _require_int
 
 __all__ = ["LaurentPoly"]
 
@@ -46,8 +47,7 @@ class LaurentPoly:
         normalized = {}
         if terms:
             for e, c in terms.items():
-                if not isinstance(e, int):
-                    raise TypeError(f"exponents must be int, got {type(e).__name__}")
+                _require_int("exponent", e)
                 c = _as_coeff(c)
                 if c:
                     normalized[e] = c
@@ -76,6 +76,7 @@ class LaurentPoly:
     @classmethod
     def x_power(cls, e: int, c=1) -> "LaurentPoly":
         """c * x^e."""
+        _require_int("e", e)
         c = _as_coeff(c)
         return cls._raw({e: c} if c else {})
 
@@ -157,7 +158,8 @@ class LaurentPoly:
         return NotImplemented
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
+        _require_int("k", k)
+        if k < 0:
             raise ValueError(f"polynomial power must be an integer >= 0, got {k}")
         result = LaurentPoly.one()
         base = self
@@ -171,6 +173,7 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by x^k: every exponent increases by k."""
+        _require_int("k", k)
         if k == 0:
             return self
         return LaurentPoly._raw({e + k: c for e, c in self._terms.items()})

@@ -22,9 +22,10 @@ class ReportEntry:
     """Outcome of one verification cell.
 
     ``residual`` is the exact LHS - RHS polynomial in symbolic mode (zero
-    on pass) and None in numeric spot-check mode.  ``rhs_polynomial``
-    records whether the right-hand side collapsed to a true polynomial
-    (negative powers of x cancel); None when the check does not apply.
+    on pass) and None in numeric mode, which compares values only.
+    ``rhs_polynomial`` records whether the right-hand side collapsed to a
+    true polynomial (negative powers of x cancel); None when the check does
+    not apply.
     """
 
     identity: str

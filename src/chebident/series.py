@@ -21,8 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from chebident import _backend as _k
-from chebident.exact import binomial
-from chebident.families import Family, _require_int
+from chebident.exact import _require_int, binomial
+from chebident.families import Family
 from chebident.laurent import LaurentPoly
 
 __all__ = [

@@ -33,8 +33,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from chebident.exact import double_factorial, falling_factorial
-from chebident.families import _require_int
+from chebident.exact import _require_int, double_factorial, falling_factorial
 from chebident.laurent import LaurentPoly
 from chebident.report import ReportEntry
 from chebident.series import TruncatedSeries, denominator_series, x_minus_t_pow

@@ -3,9 +3,11 @@
 Every identity in the catalog is built as two exact Laurent polynomials
 (left- and right-hand side) and certified by structural equality; the
 pass verdict means the residual LHS - RHS is literally the zero
-polynomial.  A numeric mode evaluates both sides at fixed rational sample
-points instead (an exact screen that must agree with the symbolic
-verdict).
+polynomial.  The numeric mode instead compares the exact values of both
+sides at the integers x = 1, ..., hi - lo + 1, where [lo, hi] is the
+exponent span of the two sides: x^(-lo) (LHS - RHS) is a polynomial of
+degree at most hi - lo, so vanishing at that many distinct points proves
+it zero, and the numeric verdict is a proof that equals the symbolic one.
 
 Identity catalog (n >= 0, N >= 1, alpha >= 1; prefix sums run over
 l = 0..n unless stated):
@@ -54,15 +56,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import random
 import time
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
-from chebident.exact import binomial
-from chebident.families import Family, FamilySpec, _require_int, _rows, family_poly
+from chebident.exact import _require_int, binomial
+from chebident.families import Family, FamilySpec, _rows, family_poly
 from chebident.laurent import LaurentPoly
 from chebident.report import ReportEntry, VerificationReport
 from chebident.triangle import triangle_recurrence
@@ -70,7 +71,6 @@ from chebident.triangle import triangle_recurrence
 __all__ = [
     "IdentityId",
     "run_suite",
-    "sample_points",
     "suite_cells",
     "verify_cor3",
     "verify_cor4_reconstructed",
@@ -254,69 +254,31 @@ _CATALOG = {
 # -- verification driver ---------------------------------------------------------
 
 
-# Distinct nonzero p/q in [-2, 2] with 1 <= q <= 12: 4 * sum_{q<=12} phi(q).
-_POINT_POOL = 184
-
-
-def sample_points(count: int = 20, seed: int = 0) -> tuple:
-    """``count`` distinct nonzero rationals p/q in [-2, 2], q <= 12, fixed by ``seed``.
-
-    The pool holds 184 such points, so ``count`` must lie in 1..184.
-    """
-    if not 1 <= count <= _POINT_POOL:
-        raise ValueError(f"count must be in 1..{_POINT_POOL}, got {count}")
-    rng = random.Random(seed)
-    points: list[Fraction] = []
-    seen = set()
-    while len(points) < count:
-        den = rng.randint(1, 12)
-        num = rng.randint(-2 * den, 2 * den)
-        if num == 0:
-            continue
-        x0 = Fraction(num, den)
-        if x0 in seen:
-            continue
-        seen.add(x0)
-        points.append(x0)
-    return tuple(points)
-
-
-@lru_cache(maxsize=None)
-def _default_points() -> tuple:
-    return sample_points()
-
-
-def _check_args(n: int, mode: str, points, first_kind: str = "gf", **orders: int) -> None:
+def _check_args(n: int, mode: str, first_kind: str = "gf", **orders: int) -> None:
     """Reject arguments that would make a cell pass vacuously or fail late.
 
-    n < 0 and any order (N or alpha) < 1 would leave the sums empty, and an
-    empty point set would pass every numeric cell.  x = 0 is rejected
-    because the sides carry negative powers of x.  A bool or non-int index
-    is a TypeError: True would certify as n = 1 and report "n": true.
+    n < 0 and any order (N or alpha) < 1 would leave the sums empty.  A
+    bool or non-int index is a TypeError: True would certify as n = 1 and
+    report "n": true.
     """
     if mode not in ("symbolic", "numeric"):
         raise ValueError(f"mode must be 'symbolic' or 'numeric', got {mode!r}")
     if first_kind not in ("gf", "classical"):
         raise ValueError(f"first_kind must be 'gf' or 'classical', got {first_kind!r}")
-    if points is not None:
-        if len(points) == 0:
-            raise ValueError("points must not be empty")
-        if any(x0 == 0 for x0 in points):
-            raise ValueError("points must be nonzero")
     for name, value, least in (("n", n, 0), *((k, v, 1) for k, v in orders.items())):
         _require_int(name, value)
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
-def _certify(identity: IdentityId, n: int, mode: str, points, **params) -> ReportEntry:
+def _certify(identity: IdentityId, n: int, mode: str, **params) -> ReportEntry:
     """Certify one cell of ``identity``: validate, build both sides, compare, time.
 
     ``params`` are the entry point's own arguments (N or alpha, first_kind).
     The report's N column holds alpha for the Legendre convolutions and 0
     for the introductory identity.
     """
-    _check_args(n, mode, points, **params)
+    _check_args(n, mode, **params)
     row = _CATALOG[identity]
     start = time.perf_counter()
     lhs, rhs = row.sides(n, **params)
@@ -325,9 +287,12 @@ def _certify(identity: IdentityId, n: int, mode: str, points, **params) -> Repor
         residual = lhs - rhs
         passed = residual.is_zero()
     else:
+        # x^(-lo) (lhs - rhs) is a polynomial of degree <= hi - lo, so it is
+        # zero iff it vanishes at the hi - lo + 1 distinct points x = 1, 2, ...
+        exponents = [e for p in (lhs, rhs) if p for e in (p.min_degree, p.max_degree)]
+        lo, hi = min(exponents, default=0), max(exponents, default=0)
         residual = None
-        pts = points if points is not None else _default_points()
-        passed = all(lhs.evaluate(x0) == rhs.evaluate(x0) for x0 in pts)
+        passed = all(lhs.evaluate(k) == rhs.evaluate(k) for k in range(1, hi - lo + 2))
     return ReportEntry(
         identity=identity.value,
         n=n,
@@ -339,43 +304,39 @@ def _certify(identity: IdentityId, n: int, mode: str, points, **params) -> Repor
     )
 
 
-def verify_intro_U_from_T(n: int, mode: str = "symbolic", points=None) -> ReportEntry:
-    return _certify(IdentityId.INTRO_U_FROM_T, n, mode, points)
+def verify_intro_U_from_T(n: int, mode: str = "symbolic") -> ReportEntry:
+    return _certify(IdentityId.INTRO_U_FROM_T, n, mode)
 
 
-def verify_U_from_Legendre(
-    n: int, alpha: int = 1, mode: str = "symbolic", points=None
-) -> ReportEntry:
+def verify_U_from_Legendre(n: int, alpha: int = 1, mode: str = "symbolic") -> ReportEntry:
     identity = IdentityId.U_FROM_LEGENDRE if alpha == 1 else IdentityId.UALPHA_FROM_LEGENDRE
-    return _certify(identity, n, mode, points, alpha=alpha)
+    return _certify(identity, n, mode, alpha=alpha)
 
 
-def verify_thm2(n: int, N: int, mode: str = "symbolic", points=None) -> ReportEntry:
-    return _certify(IdentityId.THM2, n, mode, points, N=N)
+def verify_thm2(n: int, N: int, mode: str = "symbolic") -> ReportEntry:
+    return _certify(IdentityId.THM2, n, mode, N=N)
 
 
-def verify_cor3(n: int, N: int, mode: str = "symbolic", points=None) -> ReportEntry:
-    return _certify(IdentityId.COR3, n, mode, points, N=N)
+def verify_cor3(n: int, N: int, mode: str = "symbolic") -> ReportEntry:
+    return _certify(IdentityId.COR3, n, mode, N=N)
 
 
-def verify_cor4_reconstructed(
-    n: int, N: int, mode: str = "symbolic", points=None
-) -> ReportEntry:
-    return _certify(IdentityId.COR4_RECONSTRUCTED, n, mode, points, N=N)
+def verify_cor4_reconstructed(n: int, N: int, mode: str = "symbolic") -> ReportEntry:
+    return _certify(IdentityId.COR4_RECONSTRUCTED, n, mode, N=N)
 
 
-def verify_thm5(n: int, N: int, mode: str = "symbolic", points=None) -> ReportEntry:
-    return _certify(IdentityId.THM5, n, mode, points, N=N)
+def verify_thm5(n: int, N: int, mode: str = "symbolic") -> ReportEntry:
+    return _certify(IdentityId.THM5, n, mode, N=N)
 
 
-def verify_thm6(n: int, N: int, mode: str = "symbolic", points=None) -> ReportEntry:
-    return _certify(IdentityId.THM6, n, mode, points, N=N)
+def verify_thm6(n: int, N: int, mode: str = "symbolic") -> ReportEntry:
+    return _certify(IdentityId.THM6, n, mode, N=N)
 
 
 def verify_thm7(
-    n: int, N: int, mode: str = "symbolic", points=None, first_kind: str = "gf"
+    n: int, N: int, mode: str = "symbolic", first_kind: str = "gf"
 ) -> ReportEntry:
-    return _certify(IdentityId.THM7, n, mode, points, N=N, first_kind=first_kind)
+    return _certify(IdentityId.THM7, n, mode, N=N, first_kind=first_kind)
 
 
 # -- suite runner -----------------------------------------------------------------
@@ -415,7 +376,6 @@ def run_suite(
     N_max: int,
     mode: str = "symbolic",
     first_kind: str = "gf",
-    points=None,
 ) -> VerificationReport:
     """Run the selected identities over the full grid.
 
@@ -424,7 +384,7 @@ def run_suite(
     introductory identity, which has no second parameter.
     """
     selected = _select(identities, n_max, N_max)
-    _check_args(n_max, mode, points, first_kind)
+    _check_args(n_max, mode, first_kind)
     report = VerificationReport()
     for identity in selected:
         row = _CATALOG[identity]
@@ -433,7 +393,7 @@ def run_suite(
         check = globals()[row.entry_point]
         for N, n in suite_cells(identity, n_max, N_max):
             params = dict(zip(row.params, (N, first_kind)))
-            entry = check(n, mode=mode, points=points, **params)
+            entry = check(n, mode=mode, **params)
             if entry.identity != identity.value:  # Ualpha_from_Legendre at alpha = 1
                 entry = dataclasses.replace(entry, identity=identity.value)
             report.entries.append(entry)

@@ -60,6 +60,8 @@ class TestBasics:
     def test_pow(self):
         assert (X + LaurentPoly.one()) ** 2 == lp({2: 1, 1: 2, 0: 1})
         assert lp({1: 2}) ** 0 == LaurentPoly.one()
+        with pytest.raises(ValueError, match=r"^polynomial power must be"):
+            X ** -1
 
     def test_derivative(self):
         assert lp({3: 1}).derivative() == lp({2: 3})
@@ -113,6 +115,12 @@ class TestCanonicalForm:
     def test_constructor_rejects_bools(self):
         with pytest.raises(TypeError):
             lp({0: True})
+
+    @pytest.mark.parametrize("e", [True, 1.5], ids=["bool", "float"])
+    def test_constructor_rejects_non_int_exponents(self, e):
+        # {True: 1} used to be stored as is, next to int exponents.
+        with pytest.raises(TypeError, match=r"^exponent must be an int"):
+            lp({e: 1})
 
     def test_int_fraction_coefficients_compare_equal(self):
         assert lp({0: 3}) == lp({0: Fraction(3, 1)})

@@ -6,6 +6,7 @@ import pytest
 
 from chebident import triangle
 from chebident.exact import double_factorial, falling_factorial
+from chebident.families import explicit_T
 from chebident.laurent import LaurentPoly
 from chebident.series import (
     TruncatedSeries,
@@ -242,6 +243,10 @@ INDEX_CALLS = [
     (a_closed, (2, 3), {0: "i", 1: "N"}),
     (x_minus_t_pow, (2, 3), {0: "k", 1: "order"}),
     (x_minus_t_inverse_pow, (2, 3), {0: "k", 1: "order"}),
+    (LaurentPoly.x_power, (2,), {0: "e"}),
+    (LaurentPoly.one().shift, (2,), {0: "k"}),
+    (LaurentPoly.one().__pow__, (2,), {0: "k"}),
+    (explicit_T, (2,), {0: "n"}),
 ]
 
 

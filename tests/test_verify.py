@@ -18,7 +18,6 @@ from chebident.verify import (
     _sides_thm7,
     IdentityId,
     run_suite,
-    sample_points,
     verify_U_from_Legendre,
     verify_cor3,
     verify_cor4_reconstructed,
@@ -323,85 +322,73 @@ class TestVandermondeCollapse:
             assert not check(3, 2).passed, check.__name__
 
 
-class TestNumericMode:
-    def test_points_are_deterministic_nonzero_in_range(self):
-        pts = sample_points()
-        assert pts == sample_points()
-        assert len(pts) == 20
-        assert all(x != 0 and abs(x) <= 2 for x in pts)
-        assert all(isinstance(x, Fraction) for x in pts)
+# The 20 points the former random sampler checked by default: a residual
+# vanishing there but nowhere else passed numeric mode.
+FORMER_SAMPLE_POINTS = [
+    Fraction(10, 7), Fraction(-13, 7), Fraction(6, 5), Fraction(9, 8), Fraction(1),
+    Fraction(2), Fraction(-2, 3), Fraction(-1), Fraction(-7, 5), Fraction(-5, 3),
+    Fraction(-1, 11), Fraction(-5, 4), Fraction(1, 6), Fraction(7, 6), Fraction(-9, 11),
+    Fraction(4, 3), Fraction(-2), Fraction(1, 12), Fraction(3, 2), Fraction(11, 10),
+]
 
+
+def _vanishing_at(roots) -> LaurentPoly:
+    """prod (x - r) over ``roots``."""
+    P = LaurentPoly.one()
+    for r in roots:
+        P = P * (LaurentPoly.x_power(1) - LaurentPoly.constant(r))
+    return P
+
+
+def _set_thm2_residual(monkeypatch, residual: LaurentPoly) -> None:
+    """Give thm2 the sides (residual, 0)."""
+    row = verify._CATALOG[IdentityId.THM2]
+    sides = lambda n, N: (residual, LaurentPoly.zero())  # noqa: E731
+    monkeypatch.setitem(verify._CATALOG, IdentityId.THM2, row._replace(sides=sides))
+
+
+class TestNumericMode:
     def test_agrees_with_symbolic(self):
-        for N in range(1, 3):
-            for n in range(7):
-                for sym, num in [
-                    (verify_thm2(n, N), verify_thm2(n, N, mode="numeric")),
-                    (verify_thm5(n, N), verify_thm5(n, N, mode="numeric")),
-                    (verify_thm6(n, N), verify_thm6(n, N, mode="numeric")),
-                    (verify_thm7(n, N), verify_thm7(n, N, mode="numeric")),
-                ]:
-                    assert sym.passed == num.passed
-                    assert num.residual is None
+        for first_kind in ("gf", "classical"):
+            sym = run_suite(ALL_IDS, 12, 5, first_kind=first_kind)
+            num = run_suite(ALL_IDS, 12, 5, mode="numeric", first_kind=first_kind)
+            assert [(e.identity, e.N, e.n, e.passed) for e in num.entries] == [
+                (e.identity, e.N, e.n, e.passed) for e in sym.entries
+            ]
+            assert all(e.residual is None for e in num.entries)
+            # The classical grid fails some thm7 cells: FAIL must agree too.
+            assert sym.all_passed == (first_kind == "gf")
 
     def test_numeric_detects_classical_failure(self):
         assert not verify_thm7(1, 1, mode="numeric", first_kind="classical").passed
 
-    def test_custom_points(self):
-        entry = verify_thm2(2, 1, mode="numeric", points=(Fraction(1, 3), Fraction(-2)))
-        assert entry.passed
+    def test_nonzero_residual_with_many_roots_fails(self, monkeypatch):
+        # P has degree 20 and vanishes at 20 rationals; numeric mode must
+        # still see that P != 0, which needs 21 points, not 20.
+        P = _vanishing_at(FORMER_SAMPLE_POINTS)
+        assert P.max_degree == 20
+        _set_thm2_residual(monkeypatch, P)
+        assert not verify_thm2(1, 1, mode="numeric").passed
+        assert not verify_thm2(1, 1).passed
+
+    @pytest.mark.parametrize("shift", [0, -3, 4])
+    def test_residual_vanishing_at_all_but_one_point_fails(self, monkeypatch, shift):
+        # x^shift (x-1)...(x-5) spans exponents shift..shift+5 and vanishes at
+        # x = 1..5, so only the sixth point x = 6 tells it from zero.
+        _set_thm2_residual(monkeypatch, _vanishing_at(range(1, 6)).shift(shift))
+        assert not verify_thm2(1, 1, mode="numeric").passed
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             verify_thm2(1, 1, mode="float")
 
 
-class TestSamplePoints:
-    POOL = {Fraction(p, q) for q in range(1, 13) for p in range(-2 * q, 2 * q + 1) if p}
-
-    def test_whole_pool(self):
-        assert len(self.POOL) == 184
-        pts = sample_points(184)
-        assert len(pts) == 184 and set(pts) == self.POOL
-
-    def test_single_point(self):
-        assert len(sample_points(1)) == 1
-
-    @pytest.mark.parametrize("count", [-1, 0, 185])
-    def test_rejects_count_outside_pool(self, count):
-        with pytest.raises(ValueError, match=r"^count must be in 1\.\.184"):
-            sample_points(count)
-
-
-# Every public entry point, called on one small cell; run_suite on a small grid.
-CELL_CALLS = {
-    "intro_U_from_T": partial(verify_intro_U_from_T, 3),
-    "U_from_Legendre": partial(verify_U_from_Legendre, 3, 2),
-    "thm2": partial(verify_thm2, 3, 2),
-    "cor3": partial(verify_cor3, 3, 2),
-    "cor4_reconstructed": partial(verify_cor4_reconstructed, 3, 2),
-    "thm5": partial(verify_thm5, 3, 2),
-    "thm6": partial(verify_thm6, 3, 2),
-    "thm7": partial(verify_thm7, 3, 2, first_kind="classical"),
-    "run_suite": partial(run_suite, ALL_IDS, 2, 1),
-}
-
-
 class TestPointValidation:
-    # all() over no points would certify any cell, even a failing one.
-    @pytest.mark.parametrize(
-        "points,message",
-        [((), "points must not be empty"), ((Fraction(1, 2), 0), "points must be nonzero")],
-        ids=["empty", "zero"],
-    )
-    @pytest.mark.parametrize("call", list(CELL_CALLS.values()), ids=list(CELL_CALLS))
-    def test_rejected(self, call, points, message):
-        with pytest.raises(ValueError, match=message):
-            call(mode="numeric", points=points)
-
     def test_failing_cell_cannot_pass_vacuously(self):
+        # Numeric mode picks its points from the degree span, so a failing
+        # cell always has a point where the two sides differ.
         assert not verify_thm7(3, 2, first_kind="classical").passed
-        with pytest.raises(ValueError):
-            verify_thm7(3, 2, mode="numeric", points=(), first_kind="classical")
+        assert not verify_thm7(3, 2, mode="numeric", first_kind="classical").passed
 
 
 class TestIndexValidation:
