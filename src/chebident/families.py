@@ -11,14 +11,25 @@ q(t)^alpha (1 - 2xt + t^2)^(-lambda) (DLMF 18.12), with
     Legendre     1                alpha / 2   p_n = C_n^(1/2)
 
 Gegenbauer rows come from  m C_m = 2(m+lambda-1) x C_{m-1} - (m+2lambda-2)
-C_{m-2}, C_0 = 1, with integer coefficients kept as int.  Row m of a family
-is the filter sum_k [t^k] q(t)^alpha * C_{m-k}, at most alpha+1 taps.
+C_{m-2}, C_0 = 1, kept in one integer table per a = 2 lambda.  For integer
+lambda the table holds C_m itself.  For half-integer lambda = alpha/2 it
+holds R_m = 2^m C_m, from
+
+    m R_m = 2(2m+a-2) x R_{m-1} - 4(m+a-2) R_{m-2},
+
+which stays integral: with t -> 2t the generating function becomes
+((1-4u)^(-1/2))^a with u = xt - t^2, and (1-4u)^(-1/2) = sum C(2k,k) u^k.
+Both recurrences divide by m exactly; a remainder raises, it is never
+rounded.  The public Legendre rows are R_m / 2^m.  Row m of a family is the
+filter sum_k [t^k] q(t)^alpha * C_{m-k}, at most alpha+1 taps; for q = 1 it
+is the table row itself, shared, not copied.
 
 T_gf and T_classical are deliberately separate families: mixing them up
 shifts every identity by factors of 2.  FamilySpec allows T_classical at
 order 1 only; thm7's normalization guard reads higher orders via `_rows`.
-Rows are cached per lambda and per (kind, alpha), extended lazily and
-append-only behind a lock; returned polynomials are immutable.
+Rows are cached per 2 lambda and per (kind, alpha), extended lazily and
+append-only behind a lock; returned polynomials are immutable.  `verify`
+reads the integer Legendre table through `_scaled_legendre_rows`.
 """
 
 from __future__ import annotations
@@ -80,21 +91,39 @@ _TABLE = {
     Family.LEGENDRE: (0, 0, 0, 2),
 }
 
-_gegenbauer: dict[int | Fraction, list[LaurentPoly]] = {}
+_gegenbauer: dict[int, list[LaurentPoly]] = {}
 _cache: dict[tuple[Family, int], list[LaurentPoly]] = {}
 _lock = threading.Lock()
 
 
-def _gegenbauer_rows(lam, n: int) -> list[LaurentPoly]:
-    # Caller holds _lock.
-    rows = _gegenbauer.setdefault(lam, [LaurentPoly.one()])
+def _gegenbauer_rows(lam: Fraction, n: int) -> list[LaurentPoly]:
+    """Integer rows 0..n (at least) of the table for ``lam``: C_m, or 2^m C_m
+    when ``lam`` is a half-integer.  Caller holds _lock."""
+    a = int(2 * lam)
+    s = 1 + a % 2  # the table's row m is s^m C_m
+    rows = _gegenbauer.setdefault(a, [LaurentPoly.one()])
     for m in range(len(rows), n + 1):
-        acc = (2 * (m + lam - 1)) * rows[m - 1].shift(1)
+        taps = [(s * (2 * m + a - 2), 1, rows[m - 1])]
         if m >= 2:
-            acc = acc - (m + 2 * lam - 2) * rows[m - 2]
-        # The constructor turns integral Fractions back into int.
-        rows.append(LaurentPoly((acc / m).terms))
+            taps.append((-s * s * (m + a - 2), 0, rows[m - 2]))
+        acc = LaurentPoly.combination(taps).terms
+        for e, c in acc.items():
+            acc[e], r = divmod(c, m)
+            if r:
+                raise ArithmeticError(
+                    f"Gegenbauer row {m} for lambda = {lam}: {c} x^{e} is not divisible by {m}"
+                )
+        rows.append(LaurentPoly._raw(acc))
     return rows
+
+
+def _scaled_legendre_rows(alpha: int, n: int) -> tuple[list[LaurentPoly], int]:
+    """Integer rows r_0..r_n (at least) and the scale s with p_m^(alpha) = r_m / s^m.
+
+    s is 2 for odd alpha and 1 for even alpha, where the rows are C_m^(alpha/2).
+    """
+    with _lock:
+        return _gegenbauer_rows(Fraction(alpha, 2), n), 1 + alpha % 2
 
 
 def _rows(kind: Family, alpha: int, n: int) -> list[LaurentPoly]:
@@ -103,17 +132,21 @@ def _rows(kind: Family, alpha: int, n: int) -> list[LaurentPoly]:
         rows = _cache.setdefault((kind, alpha), [])
         if len(rows) <= n:
             c, e, d, h = _TABLE[kind]
-            lam = alpha // h if alpha % h == 0 else Fraction(alpha, h)
-            base = _gegenbauer_rows(lam, n)
+            base = _gegenbauer_rows(Fraction(alpha, h), n)
             taps = [(binomial(alpha, k) * c**k, e * k, d * k) for k in range(alpha + 1)]
             for m in range(len(rows), n + 1):
-                rows.append(
-                    LaurentPoly.combination(
+                if alpha % h:
+                    # Half-integer lambda (Legendre, q = 1): the table row is 2^m C_m.
+                    row = LaurentPoly({k: Fraction(v, 2**m) for k, v in base[m].terms.items()})
+                elif c == 0:
+                    row = base[m]  # q = 1: the family row is the table row, shared
+                else:
+                    row = LaurentPoly.combination(
                         (coef, shift, base[m - lag])
                         for coef, shift, lag in taps
                         if lag <= m
                     )
-                )
+                rows.append(row)
         return rows
 
 

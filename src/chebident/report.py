@@ -3,6 +3,8 @@
 Rendered output is deterministic by default: the per-entry wall-clock
 milliseconds are real in memory but render as 0 unless timings are
 explicitly requested, so identical inputs always produce identical bytes.
+With timings, JSON and CSV give them to the microsecond (pretty to 0.1 ms),
+so a sub-millisecond cell does not read 0.
 """
 
 from __future__ import annotations
@@ -38,6 +40,11 @@ class ReportEntry:
 
     def residual_text(self) -> str:
         return "" if self.residual is None else str(self.residual)
+
+
+def _ms(entry: ReportEntry, timings: bool):
+    """Milliseconds to the microsecond when timings are requested, else the literal 0."""
+    return round(entry.elapsed_ms, 3) if timings else 0
 
 
 @dataclass
@@ -93,7 +100,7 @@ class VerificationReport:
                 "N": e.N,
                 "pass": e.passed,
                 "residual": e.residual_text(),
-                "ms": int(e.elapsed_ms) if timings else 0,
+                "ms": _ms(e, timings),
             }
             for e in self.entries
         ]
@@ -111,7 +118,7 @@ class VerificationReport:
                     e.N,
                     "true" if e.passed else "false",
                     e.residual_text(),
-                    int(e.elapsed_ms) if timings else 0,
+                    _ms(e, timings),
                 ]
             )
         return buf.getvalue()

@@ -1,13 +1,24 @@
 """Symbolic certification of the polynomial-family identities.
 
 Every identity in the catalog is built as two exact Laurent polynomials
-(left- and right-hand side) and certified by structural equality; the
-pass verdict means the residual LHS - RHS is literally the zero
-polynomial.  The numeric mode instead compares the exact values of both
-sides at the integers x = 1, ..., hi - lo + 1, where [lo, hi] is the
-exponent span of the two sides: x^(-lo) (LHS - RHS) is a polynomial of
-degree at most hi - lo, so vanishing at that many distinct points proves
-it zero, and the numeric verdict is a proof that equals the symbolic one.
+with integer coefficients, L' and R', and one positive integer d: the
+left- and right-hand sides are L'/d and R'/d.  A cell passes when L' and
+R' are structurally equal, so the residual LHS - RHS = (L' - R')/d is
+literally the zero polynomial; only a failing cell builds that rational
+residual.  The denominators are
+
+  thm2, cor4, thm5, thm6   d = 2^N N!, the prefactor moved to the left
+  Legendre convolutions    d = s^n over the rows r_m = s^m p_m^(a) (s = 2
+                             for odd a, 1 for even a, see families)
+  cor3                     d = s^n 2^N N!
+  intro, thm7              d = 1
+
+The numeric mode instead compares the exact values of L' and R' at the
+integers x = 1, ..., hi - lo + 1, where [lo, hi] is their exponent span:
+x^(-lo) (L' - R') is a polynomial of degree at most hi - lo, so vanishing
+at that many distinct points proves it zero, and the numeric verdict is a
+proof that equals the symbolic one.  Scaling by d changes neither the
+span nor the verdict.
 
 Identity catalog (n >= 0, N >= 1, alpha >= 1; prefix sums run over
 l = 0..n unless stated):
@@ -36,7 +47,9 @@ n-m-k+i does not depend on l, so Chu-Vandermonde,
 sum_l C(k, l) C(c, i-l) = C(n-m+i, i), sums the l-loop.  What is left
 is thm2's sum, `_rhs`, applied to the parity running sum
 k -> even E_k + odd E_{k-1} of the base row, with E_k = base(k) + E_{k-2}:
-the series form of (1 -/+ t)^(-1) G = F.
+the series form of (1 -/+ t)^(-1) G = F.  The integer weights of `_rhs`
+depend only on n and the triangle row, and the running sums only on the
+base row and the weights, so both are built once and shared by the cells.
 thm7's left-hand weights collapse the same way, because
 (1-t)^(-N-1) (1+t)^(-N-1) = (1-t^2)^(-N-1).
 
@@ -56,6 +69,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 import time
 from enum import Enum
 from fractions import Fraction
@@ -63,7 +77,7 @@ from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 from chebident.exact import _require_int, binomial
-from chebident.families import Family, FamilySpec, _rows, family_poly
+from chebident.families import Family, FamilySpec, _rows, _scaled_legendre_rows, family_poly
 from chebident.laurent import LaurentPoly
 from chebident.report import ReportEntry, VerificationReport
 from chebident.triangle import triangle_recurrence
@@ -95,20 +109,11 @@ class IdentityId(str, Enum):
     THM7 = "thm7"
 
 
+@lru_cache(maxsize=None)
 def _base(kind: Family, alpha: int = 1):
-    """The map n -> order-``alpha`` member of family ``kind``."""
+    """The map n -> order-``alpha`` member of family ``kind``, one per (kind, alpha)."""
     spec = FamilySpec(kind, alpha)
     return lambda n: family_poly(spec, n)
-
-
-def _prefactor(N: int) -> Fraction:
-    return Fraction(1, 2**N * math.factorial(N))
-
-
-def _combine(coef: dict, base) -> LaurentPoly:
-    """sum coef[(k, e)] * x^e * base(k), calling base once per distinct k."""
-    bases = {k: base(k) for k in {k for k, _ in coef}}
-    return LaurentPoly.combination((c, e, bases[k]) for (k, e), c in coef.items())
 
 
 def _convolution(f, g, n: int) -> LaurentPoly:
@@ -116,24 +121,54 @@ def _convolution(f, g, n: int) -> LaurentPoly:
     return sum((f(l) * g(n - l) for l in range(n + 1)), LaurentPoly.zero())
 
 
+def _legendre_conv(alpha: int, n: int) -> tuple[LaurentPoly, int]:
+    """(s^n sum_l p_l p_{n-l}, s^n) for the order-alpha Legendre rows p.
+
+    The sum runs over the integer rows r_m = s^m p_m; each product appears
+    twice except the middle one.
+    """
+    r, s = _scaled_legendre_rows(alpha, n)
+    conv = LaurentPoly.combination(
+        (1 if 2 * l == n else 2, 0, r[l] * r[n - l]) for l in range(n // 2 + 1)
+    )
+    return conv, s**n
+
+
 @lru_cache(maxsize=None)
 def _legendre_selfconv(k: int) -> LaurentPoly:
     """sum_{j=0..k} p_j p_{k-j}; equals U_k (certified by U_from_Legendre)."""
-    p = _base(Family.LEGENDRE)
-    return _convolution(p, p, k)
+    conv, d = _legendre_conv(1, k)
+    return LaurentPoly({e: Fraction(c, d) for e, c in conv.terms.items()})
 
 
 # -- side builders -------------------------------------------------------------
+#
+# Each builder returns (L', R', d): integer-coefficient sides whose true
+# values are L'/d and R'/d, for a positive integer d.
 
 
 def _sides_intro(n: int):
     u = _base(Family.U)
-    return (n + 1) * u(n), _convolution(_base(Family.T_GF), u, n)
+    return (n + 1) * u(n), _convolution(_base(Family.T_GF), u, n), 1
 
 
 def _sides_legendre(n: int, alpha: int):
-    p = _base(Family.LEGENDRE, alpha)
-    return _base(Family.U, alpha)(n), _convolution(p, p, n)
+    rhs, d = _legendre_conv(alpha, n)
+    return d * _base(Family.U, alpha)(n), rhs, d
+
+
+@lru_cache(maxsize=None)
+def _rhs_weights(n: int, row: tuple) -> tuple:
+    """(k, w_k) pairs: _rhs's integer weight on x^(k-n-2N) base(k), N = len(row)."""
+    N = len(row)
+    coef: dict = {}
+    for i in range(1, N + 1):
+        ai = row[i - 1] * math.factorial(i)
+        for m in range(n + 1):
+            k = n - m + i
+            c = ai * binomial(2 * N + m - i - 1, m) * binomial(k, i)
+            coef[k] = coef.get(k, 0) + c
+    return tuple((k, c) for k, c in coef.items() if c)
 
 
 def _rhs(n: int, N: int, base) -> LaurentPoly:
@@ -142,18 +177,17 @@ def _rhs(n: int, N: int, base) -> LaurentPoly:
     sum_{i=1..N} sum_{m=0..n} a_i(N) i! C(2N+m-i-1, m) C(n-m+i, i)
       x^{i-2N-m} base(n-m+i)
 
-    This is thm2's l-sum with m = n - l and (K)_i = i! C(K, i).  The
-    integer weights are summed per (n-m+i, i-2N-m) first.
+    This is thm2's l-sum with m = n - l and (K)_i = i! C(K, i).  With
+    k = n-m+i the power of x is k-n-2N, so the integer weights are summed
+    per k first.  The weight table depends on n and the triangle row only,
+    so it is built once per (n, row) and shared by every base.
     """
-    row = triangle_recurrence(N).row(N)
-    coef: dict = {}
-    for i in range(1, N + 1):
-        ai = row[i - 1] * math.factorial(i)
-        for m in range(n + 1):
-            key = (n - m + i, i - 2 * N - m)
-            c = ai * binomial(2 * N + m - i - 1, m) * binomial(n - m + i, i)
-            coef[key] = coef.get(key, 0) + c
-    return _combine(coef, base)
+    weights = _rhs_weights(n, triangle_recurrence(N).row(N))
+    return LaurentPoly.combination((c, k - n - 2 * N, base(k)) for k, c in weights)
+
+
+_running_sums: dict = {}
+_running_lock = threading.Lock()
 
 
 def _parity_sums(base, even: int, odd: int, top: int):
@@ -161,33 +195,50 @@ def _parity_sums(base, even: int, odd: int, top: int):
 
     E_k = base(k) + E_{k-2} sums every other row down from k, so the map
     weights base(j) by ``even`` when k - j is even and by ``odd`` otherwise.
+    Its values S_k = even base(k) + odd base(k-1) + S_{k-2} are kept per
+    (base, even, odd) and shared by every cell.
     """
-    E = [LaurentPoly.zero(), LaurentPoly.zero()]  # E_{-2}, E_{-1}
-    for k in range(top + 1):
-        E.append(base(k) + E[k])
-    return lambda k: even * E[k + 2] + odd * E[k + 1]
+    with _running_lock:
+        S = _running_sums.setdefault((base, even, odd), [])
+        for k in range(len(S), top + 1):
+            terms = [(even, 0, base(k))]
+            if k >= 1:
+                terms.append((odd, 0, base(k - 1)))
+            if k >= 2:
+                terms.append((1, 0, S[k - 2]))
+            S.append(LaurentPoly.combination(terms))
+    return S.__getitem__
+
+
+def _thm2_denominator(N: int) -> int:
+    """2^N N!, the denominator of thm2's prefactor."""
+    return 2**N * math.factorial(N)
 
 
 def _sides_thm2(n: int, N: int):
-    return _base(Family.U, N + 1)(n), _prefactor(N) * _rhs(n, N, _base(Family.U))
+    d = _thm2_denominator(N)
+    return d * _base(Family.U, N + 1)(n), _rhs(n, N, _base(Family.U)), d
 
 
 def _sides_cor3(n: int, N: int):
-    p = _base(Family.LEGENDRE, N + 1)
-    return _convolution(p, p, n), _prefactor(N) * _rhs(n, N, _base(Family.U))
+    lhs, d_conv = _legendre_conv(N + 1, n)
+    d = _thm2_denominator(N)
+    return d * lhs, d_conv * _rhs(n, N, _base(Family.U)), d_conv * d
 
 
 def _sides_cor4(n: int, N: int):
-    return _base(Family.U, N + 1)(n), _prefactor(N) * _rhs(n, N, _legendre_selfconv)
+    d = _thm2_denominator(N)
+    return d * _base(Family.U, N + 1)(n), _rhs(n, N, _legendre_selfconv), d
 
 
 def _sides_thm5_6(kind: Family, sign: int, n: int, N: int):
     """thm5 (V, sign 1) and its fourth-kind analogue thm6 (W, sign -1)."""
     higher = _base(kind, N + 1)
+    d = _thm2_denominator(N)
     lhs = LaurentPoly.combination(
-        (sign ** (n - l) * binomial(N + n - l, n - l), 0, higher(l)) for l in range(n + 1)
+        (d * sign ** (n - l) * binomial(N + n - l, n - l), 0, higher(l)) for l in range(n + 1)
     )
-    return lhs, _prefactor(N) * _rhs(n, N, _parity_sums(_base(kind), 1, sign, n + N))
+    return lhs, _rhs(n, N, _parity_sums(_base(kind), 1, sign, n + N)), d
 
 
 def _sides_thm7(n: int, N: int, first_kind: str):
@@ -205,7 +256,7 @@ def _sides_thm7(n: int, N: int, first_kind: str):
     lhs = LaurentPoly.combination(
         (scale * binomial(N + j, N), 0, higher(n - 2 * j)) for j in range(n // 2 + 1)
     )
-    return lhs, _rhs(n, N, _parity_sums(base, 2, 0, n + N))
+    return lhs, _rhs(n, N, _parity_sums(base, 2, 0, n + N)), 1
 
 
 # -- the catalog -----------------------------------------------------------------
@@ -216,9 +267,10 @@ class _Identity(NamedTuple):
 
     ``entry_point`` names the public ``verify_*`` function and ``params``
     its names for the grid's N and for first_kind, as far as it takes them;
-    ``sides(n, **params)`` returns (lhs, rhs).  ``fixed_N`` is the grid's
-    only N (alpha) value, or None for N = 1..N_max.  ``tracks_rhs`` says
-    whether the report records if the right-hand side is a true polynomial.
+    ``sides(n, **params)`` returns (L', R', d), the integer sides and their
+    denominator.  ``fixed_N`` is the grid's only N (alpha) value, or None
+    for N = 1..N_max.  ``tracks_rhs`` says whether the report records if
+    the right-hand side is a true polynomial.
     """
 
     entry_point: str
@@ -281,11 +333,12 @@ def _certify(identity: IdentityId, n: int, mode: str, **params) -> ReportEntry:
     _check_args(n, mode, **params)
     row = _CATALOG[identity]
     start = time.perf_counter()
-    lhs, rhs = row.sides(n, **params)
+    lhs, rhs, d = row.sides(n, **params)
     rhs_polynomial = rhs.is_polynomial() if row.tracks_rhs else None
     if mode == "symbolic":
-        residual = lhs - rhs
-        passed = residual.is_zero()
+        passed = lhs == rhs
+        # Only a failure pays for the rationals: its residual is (L' - R')/d.
+        residual = LaurentPoly.zero() if passed else LaurentPoly(((lhs - rhs) / d).terms)
     else:
         # x^(-lo) (lhs - rhs) is a polynomial of degree <= hi - lo, so it is
         # zero iff it vanishes at the hi - lo + 1 distinct points x = 1, 2, ...

@@ -8,6 +8,7 @@ from chebident.families import (
     Family,
     FamilySpec,
     _rows,
+    _scaled_legendre_rows,
     explicit_T,
     family_poly,
     family_polys,
@@ -160,6 +161,48 @@ class TestStructure:
             assert poly(Family.LEGENDRE, n).coefficient(n) == Fraction(
                 binomial(2 * n, n), 2**n
             )
+
+
+def gegenbauer_over_rationals(lam: Fraction, n: int) -> list[LaurentPoly]:
+    """C_0..C_n by m C_m = 2(m+lam-1) x C_{m-1} - (m+2lam-2) C_{m-2} over Fractions."""
+    rows = [LaurentPoly.one()]
+    for m in range(1, n + 1):
+        acc = (2 * (m + lam - 1)) * rows[m - 1].shift(1)
+        if m >= 2:
+            acc = acc - (m + 2 * lam - 2) * rows[m - 2]
+        rows.append(acc / m)
+    return rows
+
+
+class TestIntegerGegenbauer:
+    @pytest.mark.parametrize("alpha", range(1, 10))
+    def test_scaled_legendre_rows(self, alpha):
+        # Half-integer lambda = alpha/2 (odd alpha): the table holds 2^m p_m^(alpha).
+        rows, s = _scaled_legendre_rows(alpha, 48)
+        assert s == (2 if alpha % 2 else 1)
+        reference = gegenbauer_over_rationals(Fraction(alpha, 2), 48)
+        for m in range(49):
+            assert rows[m] == s**m * reference[m], (alpha, m)
+            assert all(type(c) is int for c in rows[m].terms.values()), (alpha, m)
+            assert rows[m] == s**m * poly(Family.LEGENDRE, m, alpha)
+
+    def test_non_divisible_step_raises(self, monkeypatch):
+        # 3 R_3 = 10 x R_2 - 8 R_1 on the lambda = 1/2 table; with R_2 off by
+        # one, 3 no longer divides the x coefficient.  A floored quotient
+        # would hand out a wrong Legendre row.
+        x = LaurentPoly.x_power(1)
+        bad_r2 = LaurentPoly({2: 6, 0: -1})
+        monkeypatch.setattr(families, "_gegenbauer", {1: [LaurentPoly.one(), 2 * x, bad_r2]})
+        monkeypatch.setattr(families, "_cache", {})
+        with pytest.raises(ArithmeticError, match="not divisible by 3"):
+            poly(Family.LEGENDRE, 3)
+
+    def test_no_copy_when_the_numerator_is_one(self):
+        # q(t) = 1: U^(alpha) and even-order Legendre rows are the table rows.
+        table, _ = _scaled_legendre_rows(4, 12)
+        u2 = family_polys(FamilySpec(Family.U, 2), 12)
+        p4 = family_polys(FamilySpec(Family.LEGENDRE, 4), 12)
+        assert all(a is b is c for a, b, c in zip(table, u2, p4))
 
 
 class TestExplicitT:

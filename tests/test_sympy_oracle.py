@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from chebident.families import Family, FamilySpec, family_polys
+from chebident.families import Family, FamilySpec, _scaled_legendre_rows, family_polys
 from chebident.series import gf_expand
 
 sympy = pytest.importorskip("sympy")
@@ -62,3 +62,13 @@ def test_legendre_series_oracle_is_gegenbauer(alpha):
     half = sympy.Rational(alpha, 2)
     rows = gf_expand(Family.LEGENDRE, alpha, N_MAX).coeffs
     assert_rows(Family.LEGENDRE, alpha, lambda n: sympy.gegenbauer(n, half, X), rows)
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3, 4])
+def test_scaled_legendre_table_is_gegenbauer(alpha):
+    # The integer rows verify convolves: s^m C_m^(alpha/2), s = 2 for odd alpha.
+    rows, s = _scaled_legendre_rows(alpha, N_MAX)
+    half = sympy.Rational(alpha, 2)
+    reference = lambda n: s**n * sympy.gegenbauer(n, half, X)  # noqa: E731
+    assert_rows(Family.LEGENDRE, alpha, reference, rows[: N_MAX + 1])
+    assert all(type(c) is int for row in rows for c in row.terms.values())

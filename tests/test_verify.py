@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -13,7 +14,6 @@ from chebident.triangle import Triangle, triangle_recurrence
 from chebident.verify import (
     _legendre_selfconv,
     _parity_sums,
-    _prefactor,
     _rhs,
     _sides_thm7,
     IdentityId,
@@ -29,6 +29,11 @@ from chebident.verify import (
 )
 
 ALL_IDS = list(IdentityId)
+
+
+def _prefactor(N: int) -> Fraction:
+    """thm2's 1/(2^N N!); the side builders carry it as the denominator d."""
+    return Fraction(1, 2**N * math.factorial(N))
 
 
 @lru_cache(maxsize=None)
@@ -322,6 +327,57 @@ class TestVandermondeCollapse:
             assert not check(3, 2).passed, check.__name__
 
 
+class TestIntegerSides:
+    @pytest.mark.parametrize("first_kind", ["gf", "classical"])
+    def test_sides_are_fraction_free(self, monkeypatch, first_kind):
+        # Every side handed to the comparison has int coefficients; the
+        # rationals live in the one denominator d.
+        built = []
+
+        def recording(sides):
+            def wrapper(*args, **kwargs):
+                built.append(sides(*args, **kwargs))
+                return built[-1]
+
+            return wrapper
+
+        for identity, row in verify._CATALOG.items():
+            wrapped = row._replace(sides=recording(row.sides))
+            monkeypatch.setitem(verify._CATALOG, identity, wrapped)
+        report = run_suite(ALL_IDS, 8, 4, first_kind=first_kind)
+        assert len(built) == len(report.entries)
+        for lhs, rhs, d in built:
+            assert type(d) is int and d > 0
+            for side in (lhs, rhs):
+                assert all(type(c) is int for c in side.terms.values())
+
+    # sha256 of the report with the triangle's row N = 2 perturbed, recorded
+    # while both sides were still assembled over rationals: (L' - R')/d must
+    # reproduce every failing residual byte for byte, and numeric mode every
+    # verdict.
+    PERTURBED_IDS = [
+        IdentityId.THM2,
+        IdentityId.COR3,
+        IdentityId.COR4_RECONSTRUCTED,
+        IdentityId.THM5,
+        IdentityId.THM6,
+    ]
+    PERTURBED_DIGESTS = {
+        "symbolic": "d984629bb1cdbbc996671ba121baa0b1eca6314ec6e69e0449b8c33c6259f738",
+        "numeric": "37e0780a963562a6f086414bfe8c1c349732bb4d905ed89df3a229b36fe1ede8",
+    }
+
+    @pytest.mark.parametrize("mode", ["symbolic", "numeric"])
+    def test_perturbed_triangle_residuals(self, monkeypatch, mode):
+        rows = triangle_recurrence(3).rows
+        bad = Triangle(rows[:1] + ((rows[1][0] + 1, rows[1][1]),) + rows[2:])
+        monkeypatch.setattr(verify, "triangle_recurrence", lambda N: bad)
+        report = run_suite(self.PERTURBED_IDS, 4, 3, mode=mode)
+        assert [e.passed for e in report.entries] == [e.N != 2 for e in report.entries]
+        digest = hashlib.sha256(report.render("json").encode()).hexdigest()
+        assert digest == self.PERTURBED_DIGESTS[mode]
+
+
 # The 20 points the former random sampler checked by default: a residual
 # vanishing there but nowhere else passed numeric mode.
 FORMER_SAMPLE_POINTS = [
@@ -341,9 +397,9 @@ def _vanishing_at(roots) -> LaurentPoly:
 
 
 def _set_thm2_residual(monkeypatch, residual: LaurentPoly) -> None:
-    """Give thm2 the sides (residual, 0)."""
+    """Give thm2 the sides (residual, 0) over the denominator 1."""
     row = verify._CATALOG[IdentityId.THM2]
-    sides = lambda n, N: (residual, LaurentPoly.zero())  # noqa: E731
+    sides = lambda n, N: (residual, LaurentPoly.zero(), 1)  # noqa: E731
     monkeypatch.setitem(verify._CATALOG, IdentityId.THM2, row._replace(sides=sides))
 
 
