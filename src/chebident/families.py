@@ -12,24 +12,30 @@ q(t)^alpha (1 - 2xt + t^2)^(-lambda) (DLMF 18.12), with
 
 Gegenbauer rows come from  m C_m = 2(m+lambda-1) x C_{m-1} - (m+2lambda-2)
 C_{m-2}, C_0 = 1, kept in one integer table per a = 2 lambda.  For integer
-lambda the table holds C_m itself.  For half-integer lambda = alpha/2 it
-holds R_m = 2^m C_m, from
+lambda the table holds C_m itself.  For half-integer lambda = a/2 it holds
+R_m = 2^m C_m, from
 
     m R_m = 2(2m+a-2) x R_{m-1} - 4(m+a-2) R_{m-2},
 
 which stays integral: with t -> 2t the generating function becomes
 ((1-4u)^(-1/2))^a with u = xt - t^2, and (1-4u)^(-1/2) = sum C(2k,k) u^k.
 Both recurrences divide by m exactly; a remainder raises, it is never
-rounded.  The public Legendre rows are R_m / 2^m.  Row m of a family is the
-filter sum_k [t^k] q(t)^alpha * C_{m-k}, at most alpha+1 taps; for q = 1 it
-is the table row itself, shared, not copied.
+rounded.  Row m of a family is the filter sum_k [t^k] q(t)^alpha * C_{m-k},
+at most alpha+1 taps; for q = 1 it is the table row itself, shared, not
+copied.
+
+`_rows` is the one row store: integer rows for every kind and order, row
+m scaled by s^m, where s = `_scale(kind, alpha)` is 2 for half-integer
+lambda (Legendre at odd alpha) and 1 otherwise.  `family_poly` and
+`family_polys` are the only code that divides by s^m, so rationals appear
+only in the public Legendre rows at odd alpha; `verify` convolves the
+integer rows and carries s^n as a denominator.
 
 T_gf and T_classical are deliberately separate families: mixing them up
 shifts every identity by factors of 2.  FamilySpec allows T_classical at
 order 1 only; thm7's normalization guard reads higher orders via `_rows`.
 Rows are cached per 2 lambda and per (kind, alpha), extended lazily and
-append-only behind a lock; returned polynomials are immutable.  `verify`
-reads the integer Legendre table through `_scaled_legendre_rows`.
+append-only behind a lock; returned polynomials are immutable.
 """
 
 from __future__ import annotations
@@ -96,58 +102,60 @@ _cache: dict[tuple[Family, int], list[LaurentPoly]] = {}
 _lock = threading.Lock()
 
 
-def _gegenbauer_rows(lam: Fraction, n: int) -> list[LaurentPoly]:
-    """Integer rows 0..n (at least) of the table for ``lam``: C_m, or 2^m C_m
-    when ``lam`` is a half-integer.  Caller holds _lock."""
-    a = int(2 * lam)
+def _divide_exact(p: LaurentPoly, m: int, what: str) -> LaurentPoly:
+    """p / m for an integer polynomial p; a remainder raises, it is never rounded."""
+    quotient = {}
+    for e, c in p.terms.items():
+        quotient[e], r = divmod(c, m)
+        if r:
+            raise ArithmeticError(f"{what}: {c} x^{e} is not divisible by {m}")
+    return LaurentPoly._raw(quotient)
+
+
+def _gegenbauer_rows(a: int, n: int) -> list[LaurentPoly]:
+    """Integer rows 0..n (at least) of the table for lambda = a/2: C_m, or
+    2^m C_m when a is odd.  Caller holds _lock."""
     s = 1 + a % 2  # the table's row m is s^m C_m
     rows = _gegenbauer.setdefault(a, [LaurentPoly.one()])
     for m in range(len(rows), n + 1):
         taps = [(s * (2 * m + a - 2), 1, rows[m - 1])]
         if m >= 2:
             taps.append((-s * s * (m + a - 2), 0, rows[m - 2]))
-        acc = LaurentPoly.combination(taps).terms
-        for e, c in acc.items():
-            acc[e], r = divmod(c, m)
-            if r:
-                raise ArithmeticError(
-                    f"Gegenbauer row {m} for lambda = {lam}: {c} x^{e} is not divisible by {m}"
-                )
-        rows.append(LaurentPoly._raw(acc))
+        what = f"Gegenbauer row {m} for 2 lambda = {a}"
+        rows.append(_divide_exact(LaurentPoly.combination(taps), m, what))
     return rows
 
 
-def _scaled_legendre_rows(alpha: int, n: int) -> tuple[list[LaurentPoly], int]:
-    """Integer rows r_0..r_n (at least) and the scale s with p_m^(alpha) = r_m / s^m.
-
-    s is 2 for odd alpha and 1 for even alpha, where the rows are C_m^(alpha/2).
-    """
-    with _lock:
-        return _gegenbauer_rows(Fraction(alpha, 2), n), 1 + alpha % 2
+def _scale(kind: Family, alpha: int) -> int:
+    """s with family row m = _rows(kind, alpha, m)[m] / s^m: 2 for half-integer lambda."""
+    return 2 if alpha % _TABLE[kind][3] else 1
 
 
 def _rows(kind: Family, alpha: int, n: int) -> list[LaurentPoly]:
-    """Rows 0..n (at least) of the order-alpha power of any family."""
+    """Integer rows 0..n (at least) of the order-alpha power of any family,
+    row m scaled by s^m (see `_scale`).  For q = 1 this is the Gegenbauer
+    table itself."""
+    rows = _cache.get((kind, alpha), ())
+    if len(rows) > n:
+        return rows  # append-only: rows 0..n are complete, no lock needed
+    c, e, d, h = _TABLE[kind]
     with _lock:
-        rows = _cache.setdefault((kind, alpha), [])
-        if len(rows) <= n:
-            c, e, d, h = _TABLE[kind]
-            base = _gegenbauer_rows(Fraction(alpha, h), n)
-            taps = [(binomial(alpha, k) * c**k, e * k, d * k) for k in range(alpha + 1)]
-            for m in range(len(rows), n + 1):
-                if alpha % h:
-                    # Half-integer lambda (Legendre, q = 1): the table row is 2^m C_m.
-                    row = LaurentPoly({k: Fraction(v, 2**m) for k, v in base[m].terms.items()})
-                elif c == 0:
-                    row = base[m]  # q = 1: the family row is the table row, shared
-                else:
-                    row = LaurentPoly.combination(
-                        (coef, shift, base[m - lag])
-                        for coef, shift, lag in taps
-                        if lag <= m
-                    )
-                rows.append(row)
+        base = _gegenbauer_rows(2 * alpha // h, n)
+        # q = 1: the family rows are the table rows, shared, so nothing is left to fill.
+        rows = _cache.setdefault((kind, alpha), base if c == 0 else [])
+        taps = [(binomial(alpha, k) * c**k, e * k, d * k) for k in range(alpha + 1)]
+        for m in range(len(rows), n + 1):
+            rows.append(
+                LaurentPoly.combination(
+                    (coef, shift, base[m - lag]) for coef, shift, lag in taps if lag <= m
+                )
+            )
         return rows
+
+
+def _divided(row: LaurentPoly, d: int) -> LaurentPoly:
+    """row / d, sharing ``row`` itself when d = 1."""
+    return row if d == 1 else LaurentPoly({e: Fraction(c, d) for e, c in row.terms.items()})
 
 
 def family_poly(spec: FamilySpec, n: int) -> LaurentPoly:
@@ -157,7 +165,7 @@ def family_poly(spec: FamilySpec, n: int) -> LaurentPoly:
         raise ValueError(f"polynomial index must be >= 0, got {n}")
     if not isinstance(spec, FamilySpec):
         spec = FamilySpec(spec)
-    return _rows(spec.kind, spec.alpha, n)[n]
+    return _divided(_rows(spec.kind, spec.alpha, n)[n], _scale(spec.kind, spec.alpha) ** n)
 
 
 def family_polys(spec: FamilySpec, n_max: int) -> list[LaurentPoly]:
@@ -167,7 +175,9 @@ def family_polys(spec: FamilySpec, n_max: int) -> list[LaurentPoly]:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if not isinstance(spec, FamilySpec):
         spec = FamilySpec(spec)
-    return list(_rows(spec.kind, spec.alpha, n_max)[: n_max + 1])
+    s = _scale(spec.kind, spec.alpha)
+    rows = _rows(spec.kind, spec.alpha, n_max)
+    return [_divided(rows[m], s**m) for m in range(n_max + 1)]
 
 
 def explicit_T(n: int) -> LaurentPoly:

@@ -104,6 +104,7 @@ class LaurentPoly:
 
     def coefficient(self, e: int):
         """Coefficient of x^e (0 when absent)."""
+        _require_int("e", e)
         return self._terms.get(e, 0)
 
     @property

@@ -84,6 +84,7 @@ class TruncatedSeries:
 
     def coefficient(self, m: int) -> LaurentPoly:
         """Coefficient of t^m."""
+        _require_int("m", m)
         if not 0 <= m <= self.order:
             raise IndexError(f"coefficient {m} outside truncation order {self.order}")
         return self._coeffs[m]
@@ -168,7 +169,7 @@ class TruncatedSeries:
         b_0 = 1/a_0 and b_m = -(1/a_0) sum_{j=1..m} a_j b_{m-j}.
         """
         a0 = self._coeffs[0]
-        if a0.is_zero() or a0.max_degree != 0:
+        if a0._terms.keys() != {0}:
             raise ValueError(
                 "series is not invertible: constant coefficient must be a nonzero constant"
             )

@@ -58,12 +58,14 @@ class Triangle:
         return len(self.rows)
 
     def row(self, N: int) -> tuple[int, ...]:
+        _require_int("N", N)
         if not 1 <= N <= self.n_max:
             raise IndexError(f"row {N} outside 1..{self.n_max}")
         return self.rows[N - 1]
 
     def entry(self, i: int, N: int) -> int:
         """a_i(N) for 1 <= i <= N."""
+        _require_int("i", i)
         row = self.row(N)
         if not 1 <= i <= N:
             raise IndexError(f"entry index {i} outside 1..{N}")

@@ -5,7 +5,10 @@ with integer coefficients, L' and R', and one positive integer d: the
 left- and right-hand sides are L'/d and R'/d.  A cell passes when L' and
 R' are structurally equal, so the residual LHS - RHS = (L' - R')/d is
 literally the zero polynomial; only a failing cell builds that rational
-residual.  The denominators are
+residual, the only rational here.  The sides are assembled from the
+integer rows of `families._rows`, read through one getter per (kind,
+order), `_base`, and one convolution, `_convolution`.  The denominators
+are
 
   thm2, cor4, thm5, thm6   d = 2^N N!, the prefactor moved to the left
   Legendre convolutions    d = s^n over the rows r_m = s^m p_m^(a) (s = 2
@@ -13,12 +16,12 @@ residual.  The denominators are
   cor3                     d = s^n 2^N N!
   intro, thm7              d = 1
 
-The numeric mode instead compares the exact values of L' and R' at the
-integers x = 1, ..., hi - lo + 1, where [lo, hi] is their exponent span:
-x^(-lo) (L' - R') is a polynomial of degree at most hi - lo, so vanishing
-at that many distinct points proves it zero, and the numeric verdict is a
-proof that equals the symbolic one.  Scaling by d changes neither the
-span nor the verdict.
+The numeric mode instead compares the integer values of x^(-lo) L' and
+x^(-lo) R', sum c k^(e-lo) over their terms c x^e, at x = k = 1, ...,
+hi - lo + 1, where [lo, hi] is their exponent span: x^(-lo) (L' - R') is a
+polynomial of degree at most hi - lo, so vanishing at that many distinct
+points proves it zero, and the numeric verdict is a proof that equals the
+symbolic one.  Scaling by d changes neither the span nor the verdict.
 
 Identity catalog (n >= 0, N >= 1, alpha >= 1; prefix sums run over
 l = 0..n unless stated):
@@ -72,12 +75,11 @@ import math
 import threading
 import time
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 from chebident.exact import _require_int, binomial
-from chebident.families import Family, FamilySpec, _rows, _scaled_legendre_rows, family_poly
+from chebident.families import Family, _divide_exact, _rows, _scale
 from chebident.laurent import LaurentPoly
 from chebident.report import ReportEntry, VerificationReport
 from chebident.triangle import triangle_recurrence
@@ -111,34 +113,31 @@ class IdentityId(str, Enum):
 
 @lru_cache(maxsize=None)
 def _base(kind: Family, alpha: int = 1):
-    """The map n -> order-``alpha`` member of family ``kind``, one per (kind, alpha)."""
-    spec = FamilySpec(kind, alpha)
-    return lambda n: family_poly(spec, n)
+    """The map m -> row m of ``_rows(kind, alpha)``: the order-``alpha`` member
+    of family ``kind`` times s^m (see `families._scale`), one per (kind, alpha)."""
+    return lambda m: _rows(kind, alpha, m)[m]
 
 
 def _convolution(f, g, n: int) -> LaurentPoly:
-    """sum_{l=0..n} f(l) g(n-l)."""
-    return sum((f(l) * g(n - l) for l in range(n + 1)), LaurentPoly.zero())
+    """sum_{l=0..n} f(l) g(n-l).
 
-
-def _legendre_conv(alpha: int, n: int) -> tuple[LaurentPoly, int]:
-    """(s^n sum_l p_l p_{n-l}, s^n) for the order-alpha Legendre rows p.
-
-    The sum runs over the integer rows r_m = s^m p_m; each product appears
-    twice except the middle one.
+    When f is g the terms l and n-l are equal, so each cross product is
+    built once and doubled, and a middle square (even n) is added once.
     """
-    r, s = _scaled_legendre_rows(alpha, n)
-    conv = LaurentPoly.combination(
-        (1 if 2 * l == n else 2, 0, r[l] * r[n - l]) for l in range(n // 2 + 1)
-    )
-    return conv, s**n
+    if f is not g:
+        return sum((f(l) * g(n - l) for l in range(n + 1)), LaurentPoly.zero())
+    cross = sum((f(l) * f(n - l) for l in range((n + 1) // 2)), LaurentPoly.zero())
+    return 2 * cross + (f(n // 2) * f(n // 2) if n % 2 == 0 else LaurentPoly.zero())
 
 
 @lru_cache(maxsize=None)
 def _legendre_selfconv(k: int) -> LaurentPoly:
-    """sum_{j=0..k} p_j p_{k-j}; equals U_k (certified by U_from_Legendre)."""
-    conv, d = _legendre_conv(1, k)
-    return LaurentPoly({e: Fraction(c, d) for e, c in conv.terms.items()})
+    """sum_{j=0..k} p_j p_{k-j}; equals U_k (certified by U_from_Legendre).
+
+    The rows are r_j = 2^j p_j, so their self-convolution divides by 2^k.
+    """
+    r = _base(Family.LEGENDRE)
+    return _divide_exact(_convolution(r, r, k), 2**k, f"Legendre self-convolution {k}")
 
 
 # -- side builders -------------------------------------------------------------
@@ -153,8 +152,8 @@ def _sides_intro(n: int):
 
 
 def _sides_legendre(n: int, alpha: int):
-    rhs, d = _legendre_conv(alpha, n)
-    return d * _base(Family.U, alpha)(n), rhs, d
+    p, d = _base(Family.LEGENDRE, alpha), _scale(Family.LEGENDRE, alpha) ** n
+    return d * _base(Family.U, alpha)(n), _convolution(p, p, n), d
 
 
 @lru_cache(maxsize=None)
@@ -221,9 +220,9 @@ def _sides_thm2(n: int, N: int):
 
 
 def _sides_cor3(n: int, N: int):
-    lhs, d_conv = _legendre_conv(N + 1, n)
+    p, d_conv = _base(Family.LEGENDRE, N + 1), _scale(Family.LEGENDRE, N + 1) ** n
     d = _thm2_denominator(N)
-    return d * lhs, d_conv * _rhs(n, N, _base(Family.U)), d_conv * d
+    return d * _convolution(p, p, n), d_conv * _rhs(n, N, _base(Family.U)), d_conv * d
 
 
 def _sides_cor4(n: int, N: int):
@@ -242,15 +241,8 @@ def _sides_thm5_6(kind: Family, sign: int, n: int, N: int):
 
 
 def _sides_thm7(n: int, N: int, first_kind: str):
-    if first_kind == "gf":
-        base, higher = _base(Family.T_GF), _base(Family.T_GF, N + 1)
-    else:
-        base = _base(Family.T_CLASSICAL)
-
-        def higher(p):
-            # FamilySpec keeps T_classical at order 1; the guard reads the table.
-            return _rows(Family.T_CLASSICAL, N + 1, p)[p]
-
+    kind = Family.T_GF if first_kind == "gf" else Family.T_CLASSICAL
+    base, higher = _base(kind), _base(kind, N + 1)
     # (1-t)^(-N-1) (1+t)^(-N-1) = (1-t^2)^(-N-1): only p = n - 2j survives.
     scale = 2 ** (N + 1) * math.factorial(N)
     lhs = LaurentPoly.combination(
@@ -341,11 +333,16 @@ def _certify(identity: IdentityId, n: int, mode: str, **params) -> ReportEntry:
         residual = LaurentPoly.zero() if passed else LaurentPoly(((lhs - rhs) / d).terms)
     else:
         # x^(-lo) (lhs - rhs) is a polynomial of degree <= hi - lo, so it is
-        # zero iff it vanishes at the hi - lo + 1 distinct points x = 1, 2, ...
+        # zero iff it vanishes at the hi - lo + 1 distinct points x = 1, 2, ...;
+        # there x^(-lo) L' and x^(-lo) R' are the integers sum c k^(e-lo).
         exponents = [e for p in (lhs, rhs) if p for e in (p.min_degree, p.max_degree)]
         lo, hi = min(exponents, default=0), max(exponents, default=0)
+        left, right = ([(c, e - lo) for e, c in p.terms.items()] for p in (lhs, rhs))
         residual = None
-        passed = all(lhs.evaluate(k) == rhs.evaluate(k) for k in range(1, hi - lo + 2))
+        passed = all(
+            sum(c * k**e for c, e in left) == sum(c * k**e for c, e in right)
+            for k in range(1, hi - lo + 2)
+        )
     return ReportEntry(
         identity=identity.value,
         n=n,
@@ -395,8 +392,21 @@ def verify_thm7(
 # -- suite runner -----------------------------------------------------------------
 
 
+def _check_grid(n_max: int, N_max: int) -> None:
+    """TypeError for a bool or non-int grid bound, ValueError for a negative one."""
+    _require_int("n_max", n_max)
+    _require_int("N_max", N_max)
+    if n_max < 0 or N_max < 0:
+        raise ValueError("n_max and N_max must be >= 0")
+
+
 def suite_cells(identity: IdentityId, n_max: int, N_max: int):
-    """Deterministic (N, n) grid per identity; N doubles as alpha where noted."""
+    """Deterministic (N, n) grid per identity; N doubles as alpha where noted.
+
+    Raises TypeError for a bool or non-int bound and ValueError for a
+    negative one.
+    """
+    _check_grid(n_max, N_max)
     fixed = _CATALOG[IdentityId(identity)].fixed_N
     orders = range(1, N_max + 1) if fixed is None else (fixed,)
     return [(N, n) for N in orders for n in range(n_max + 1)]
@@ -409,10 +419,7 @@ def _select(identities, n_max: int, N_max: int) -> list:
     cells, which would otherwise pass vacuously, and TypeError for a bool
     or non-int bound.
     """
-    _require_int("n_max", n_max)
-    _require_int("N_max", N_max)
-    if n_max < 0 or N_max < 0:
-        raise ValueError("n_max and N_max must be >= 0")
+    _check_grid(n_max, N_max)
     wanted = {IdentityId(x) for x in identities}
     selected = [i for i in IdentityId if i in wanted]
     empty = [i.value for i in selected if not suite_cells(i, n_max, N_max)]

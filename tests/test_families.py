@@ -1,3 +1,5 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,7 @@ from chebident.families import (
     Family,
     FamilySpec,
     _rows,
-    _scaled_legendre_rows,
+    _scale,
     explicit_T,
     family_poly,
     family_polys,
@@ -136,9 +138,9 @@ class TestSeriesOracle:
         # Gegenbauer rows behind Legendre and the comparison has to fail.
         real = families._gegenbauer_rows
 
-        def perturbed(lam, n):
-            rows = list(real(lam, n))
-            if lam == Fraction(1, 2):
+        def perturbed(a, n):
+            rows = list(real(a, n))
+            if a == 1:  # lambda = 1/2
                 rows[3] = rows[3] + LaurentPoly.x_power(1)
             return rows
 
@@ -178,7 +180,7 @@ class TestIntegerGegenbauer:
     @pytest.mark.parametrize("alpha", range(1, 10))
     def test_scaled_legendre_rows(self, alpha):
         # Half-integer lambda = alpha/2 (odd alpha): the table holds 2^m p_m^(alpha).
-        rows, s = _scaled_legendre_rows(alpha, 48)
+        rows, s = _rows(Family.LEGENDRE, alpha, 48), _scale(Family.LEGENDRE, alpha)
         assert s == (2 if alpha % 2 else 1)
         reference = gegenbauer_over_rationals(Fraction(alpha, 2), 48)
         for m in range(49):
@@ -199,10 +201,53 @@ class TestIntegerGegenbauer:
 
     def test_no_copy_when_the_numerator_is_one(self):
         # q(t) = 1: U^(alpha) and even-order Legendre rows are the table rows.
-        table, _ = _scaled_legendre_rows(4, 12)
+        table = _rows(Family.LEGENDRE, 4, 12)
+        assert table is _rows(Family.U, 2, 12) is families._gegenbauer[4]
         u2 = family_polys(FamilySpec(Family.U, 2), 12)
         p4 = family_polys(FamilySpec(Family.LEGENDRE, 4), 12)
         assert all(a is b is c for a, b, c in zip(table, u2, p4))
+
+    @pytest.mark.parametrize("kind", list(Family))
+    def test_rows_are_integer_and_scale_to_the_family(self, kind):
+        # One integer row store: row m of _rows is s^m times the public row.
+        for alpha in range(1, 5):
+            rows, s = _rows(kind, alpha, 24), _scale(kind, alpha)
+            assert s == (2 if kind is Family.LEGENDRE and alpha % 2 else 1)
+            assert all(type(c) is int for row in rows[:25] for c in row.terms.values())
+            if kind is Family.T_CLASSICAL and alpha > 1:
+                continue  # no public rows; TestClassicalPowers checks these
+            spec = FamilySpec(kind, alpha)
+            expected = [rows[m] / s**m for m in range(25)]
+            assert [family_poly(spec, m) for m in range(25)] == expected
+            assert family_polys(spec, 24) == expected
+
+    def test_concurrent_readers_and_writers(self, monkeypatch):
+        # Readers skip the lock once a row list is long enough; writers extend
+        # it under the lock.  A row appended twice or lost would shift every
+        # later row and leave a list of the wrong length.
+        n_max = 40
+        keys = [(kind, alpha) for kind in Family for alpha in (1, 2, 3)]
+        expected = {key: list(_rows(*key, n_max)[: n_max + 1]) for key in keys}
+        monkeypatch.setattr(families, "_gegenbauer", {})
+        monkeypatch.setattr(families, "_cache", {})
+
+        def read_all(offset):
+            for i in range(len(keys)):
+                key = keys[(i + offset) % len(keys)]
+                for n in range(n_max + 1):
+                    assert _rows(*key, n)[n] == expected[key][n], (key, n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(read_all, offset) for offset in range(6)]
+                for future in futures:
+                    future.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        for table in (*families._cache.values(), *families._gegenbauer.values()):
+            assert len(table) == n_max + 1
 
 
 class TestExplicitT:

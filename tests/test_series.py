@@ -84,6 +84,12 @@ class TestInverse:
         with pytest.raises(ValueError):
             series([X, 1], 2).inverse()
 
+    def test_rejects_negative_powers_in_constant_coefficient(self):
+        # 1 + x^-1 has max degree 0 but is no constant; its "inverse" would
+        # not multiply back to 1.
+        with pytest.raises(ValueError, match="not invertible"):
+            series([LaurentPoly({0: 1, -1: 1}), 1], 3).inverse()
+
 
 class TestSqrt:
     @pytest.mark.parametrize("alpha", [1, 3, 5])

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from chebident.families import Family, FamilySpec, _scaled_legendre_rows, family_polys
+from chebident.families import Family, FamilySpec, _rows, family_polys
 from chebident.series import gf_expand
 
 sympy = pytest.importorskip("sympy")
@@ -67,7 +67,7 @@ def test_legendre_series_oracle_is_gegenbauer(alpha):
 @pytest.mark.parametrize("alpha", [1, 2, 3, 4])
 def test_scaled_legendre_table_is_gegenbauer(alpha):
     # The integer rows verify convolves: s^m C_m^(alpha/2), s = 2 for odd alpha.
-    rows, s = _scaled_legendre_rows(alpha, N_MAX)
+    rows, s = _rows(Family.LEGENDRE, alpha, N_MAX), 2 if alpha % 2 else 1
     half = sympy.Rational(alpha, 2)
     reference = lambda n: s**n * sympy.gegenbauer(n, half, X)  # noqa: E731
     assert_rows(Family.LEGENDRE, alpha, reference, rows[: N_MAX + 1])

@@ -247,6 +247,10 @@ INDEX_CALLS = [
     (LaurentPoly.one().shift, (2,), {0: "k"}),
     (LaurentPoly.one().__pow__, (2,), {0: "k"}),
     (explicit_T, (2,), {0: "n"}),
+    (LaurentPoly.one().coefficient, (2,), {0: "e"}),
+    (denominator_series(3).coefficient, (2,), {0: "m"}),
+    (triangle_recurrence(3).row, (2,), {0: "N"}),
+    (triangle_recurrence(3).entry, (1, 2), {0: "i", 1: "N"}),
 ]
 
 

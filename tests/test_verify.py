@@ -18,6 +18,7 @@ from chebident.verify import (
     _sides_thm7,
     IdentityId,
     run_suite,
+    suite_cells,
     verify_U_from_Legendre,
     verify_cor3,
     verify_cor4_reconstructed,
@@ -531,6 +532,8 @@ class TestRunSuite:
     def test_rejects_non_int_bounds(self, n_max, N_max, name):
         with pytest.raises(TypeError, match=rf"^{name} must be an int"):
             run_suite([IdentityId.THM2], n_max, N_max)
+        with pytest.raises(TypeError, match=rf"^{name} must be an int"):
+            suite_cells(IdentityId.THM2, n_max, N_max)
 
     def test_empty_identity_set(self):
         assert run_suite([], n_max=4, N_max=2).entries == []
@@ -570,8 +573,11 @@ class TestRunSuite:
         assert not report.all_passed
 
     def test_rejects_negative_grid(self):
-        with pytest.raises(ValueError):
-            run_suite(ALL_IDS, n_max=-1, N_max=2)
+        for n_max, N_max in ((-1, 2), (4, -4)):
+            with pytest.raises(ValueError, match="must be >= 0"):
+                run_suite(ALL_IDS, n_max=n_max, N_max=N_max)
+            with pytest.raises(ValueError, match="must be >= 0"):
+                suite_cells(IdentityId.INTRO_U_FROM_T, n_max, N_max)
 
     # An identity with no cells on the grid would otherwise pass vacuously.
     @pytest.mark.parametrize(
