@@ -3,12 +3,12 @@
 This is the oracle machinery: every generating function is expanded here
 independently of the recurrence route in `chebident.families`, and the
 two are required to agree coefficient by coefficient.  `gf_expand` reads
-no family rows.  It writes every order-alpha generating function as one
-formula, q(t)^alpha (1 - 2xt + t^2)^(-alpha/h), from its own table of
-numerators q and divisors h (h = 2 for Legendre, 1 otherwise).  The
-denominator factor is the short-series inverse of (1 - 2xt + t^2)^lambda
-for integer lambda, and the square root of the inverse of
-(1 - 2xt + t^2)^alpha for half-integer lambda.
+no family rows and does not run their three-term recurrence.  It writes
+every order-alpha generating function as one formula,
+q(t)^alpha (1 - 2xt + t^2)^(-alpha/h), from its own table of numerators q
+and divisors h (h = 2 for Legendre, 1 otherwise).  The denominator factor
+comes from the explicit Gegenbauer sum (the binomial series in t(2x - t)),
+over integers, for integer and half-integer lambda alike.
 
 A series carries its truncation order explicitly.  Arithmetic between two
 series truncates to the shorter operand (verification drivers naturally
@@ -246,13 +246,48 @@ def denominator_series(order: int) -> TruncatedSeries:
     )
 
 
+def _gegenbauer_sum(a: int, order: int) -> TruncatedSeries:
+    """(1 - 2xt + t^2)^(-a/2) to t^order, from the explicit Gegenbauer sum.
+
+    With lambda = a/2, the binomial series in t(2x - t) gives
+    sum_k (lambda)_k/k! t^k (2x - t)^k (DLMF 18.5.10).  Over integers, with
+    I_k = 4^k (a/2)_k / k! from k I_k = 2(a + 2k - 2) I_{k-1}:
+
+        2^m [t^m] = sum_{k+j=m} I_k C(k, j) (-1)^j x^(k-j).
+
+    Row m is divided by 2^m once.  For even a the division is exact and the
+    row stays integer-typed; for odd a a remainder makes a Fraction.  Every
+    other division is exact or raises: nothing is rounded.
+    """
+    weights = [1]
+    for k in range(1, order + 1):
+        weight, r = divmod(2 * (a + 2 * k - 2) * weights[-1], k)
+        if r:
+            raise ArithmeticError(f"Gegenbauer weight {k} for 2 lambda = {a} is not an integer")
+        weights.append(weight)
+    rows = []
+    for m in range(order + 1):
+        scale, terms = 1 << m, {}
+        for k in range((m + 1) // 2, m + 1):
+            c = (-1) ** (m - k) * weights[k] * binomial(k, m - k)
+            q, r = divmod(c, scale)
+            if r and a % 2 == 0:
+                raise ArithmeticError(
+                    f"Gegenbauer sum row {m} for 2 lambda = {a}: "
+                    f"{c} x^{2 * k - m} is not divisible by {scale}"
+                )
+            terms[2 * k - m] = Fraction(c, scale) if r else q
+        rows.append(LaurentPoly._raw(terms))
+    return TruncatedSeries._raw(tuple(rows))
+
+
 def gf_expand(kind, alpha: int, order: int) -> TruncatedSeries:
     """Expand the order-alpha generating function q(t)^alpha (1-2xt+t^2)^(-lambda).
 
     q is 1-t^2, 1, 1-t, 1+t, 1 for T_gf, U, V, W, Legendre, and lambda is
-    alpha, except alpha/2 for Legendre.  An integer lambda uses the
-    short-series inverse of (1-2xt+t^2)^lambda, a half-integer one the
-    square root of the inverse of (1-2xt+t^2)^alpha.
+    alpha, except alpha/2 for Legendre.  The denominator factor is the
+    explicit Gegenbauer sum (`_gegenbauer_sum`), one integer formula for
+    every lambda; q(t)^alpha multiplies it as a series.
     """
     kind = Family(kind)
     _require_int("alpha", alpha)
@@ -263,12 +298,10 @@ def gf_expand(kind, alpha: int, order: int) -> TruncatedSeries:
         raise ValueError(
             "T_classical is not generated by its own series here; use T_gf"
         )
+    if order < 0:
+        raise ValueError(f"series order must be >= 0, got {order}")
     numerator, h = _GF[kind]
-    denominator = denominator_series(order)
-    if alpha % h:
-        factor = denominator.pow(alpha).inverse().sqrt()
-    else:
-        factor = denominator.pow(alpha // h).inverse()
+    factor = _gegenbauer_sum(2 * alpha // h, order)
     return TruncatedSeries(numerator, order).pow(alpha) * factor
 
 

@@ -133,22 +133,34 @@ class TestSeriesOracle:
         for n in range(order + 1):
             assert expansion.coefficient(n) == poly(kind, n, alpha=alpha)
 
-    def test_perturbed_legendre_rows_fail(self, monkeypatch):
-        # The oracle must not read the rows it checks: corrupt the lambda = 1/2
-        # Gegenbauer rows behind Legendre and the comparison has to fail.
+    @pytest.mark.parametrize(
+        "kind,a,wrong",
+        [
+            (Family.LEGENDRE, 1, [3]),
+            (Family.U, 2, [3]),
+            (Family.V, 2, [3, 4]),
+            (Family.W, 2, [3, 4]),
+            (Family.T_GF, 2, [3, 5]),
+        ],
+        ids=["Legendre", "U", "V", "W", "T_gf"],
+    )
+    def test_perturbed_gegenbauer_rows_fail(self, kind, a, wrong, monkeypatch):
+        # The oracle must not read the rows it checks: corrupt row 3 of the
+        # Gegenbauer table behind a family (2 lambda = a) and the comparison
+        # has to fail exactly at the rows the numerator's taps reach.
         real = families._gegenbauer_rows
 
-        def perturbed(a, n):
-            rows = list(real(a, n))
-            if a == 1:  # lambda = 1/2
+        def perturbed(table, n):
+            rows = list(real(table, n))
+            if table == a:
                 rows[3] = rows[3] + LaurentPoly.x_power(1)
             return rows
 
         monkeypatch.setattr(families, "_gegenbauer_rows", perturbed)
         monkeypatch.setattr(families, "_cache", {})
-        rows = family_polys(FamilySpec(Family.LEGENDRE), 12)
-        expansion = gf_expand(Family.LEGENDRE, 1, 12)
-        assert [n for n in range(13) if expansion.coefficient(n) != rows[n]] == [3]
+        rows = family_polys(FamilySpec(kind), 12)
+        expansion = gf_expand(kind, 1, 12)
+        assert [n for n in range(13) if expansion.coefficient(n) != rows[n]] == wrong
 
 
 class TestStructure:

@@ -28,6 +28,17 @@ def F(order):
     return denominator_series(order).inverse()
 
 
+# kind -> (numerator q(t), h): the generating function is q^alpha D^(-alpha/h)
+# with D = 1 - 2xt + t^2, written out here apart from the module's own table.
+REFERENCE_GF = {
+    Family.T_GF: ([1, 0, -1], 1),
+    Family.U: ([1], 1),
+    Family.V: ([1, -1], 1),
+    Family.W: ([1, 1], 1),
+    Family.LEGENDRE: ([1], 2),
+}
+
+
 class TestArithmetic:
     def test_mul_example(self):
         a = series([1, 1], 2)  # 1 + t
@@ -212,6 +223,33 @@ class TestGfExpand:
         # (1-2xt+t^2)^(-1/2) squared is the U generating function
         order = 24
         assert gf_expand(Family.LEGENDRE, 1, order).pow(2) == gf_expand(Family.U, 1, order)
+
+    @pytest.mark.parametrize("kind", REFERENCE_GF)
+    def test_order_bounds(self, kind):
+        # The expansion builds its coefficients directly, past the series
+        # constructor's check, so it must reject order -1 itself.
+        with pytest.raises(ValueError, match=r"^series order must be >= 0"):
+            gf_expand(kind, 1, -1)
+        assert gf_expand(kind, 3, 0) == TruncatedSeries.one(0)
+
+    @pytest.mark.parametrize("kind", REFERENCE_GF)
+    @pytest.mark.parametrize("alpha", range(1, 7))
+    def test_matches_inverse_and_square_root_route(self, kind, alpha):
+        # The reference route is plain series arithmetic: q^alpha times the
+        # inverse of D^lambda, or for half-integer lambda the square root of
+        # the inverse of D^alpha.
+        numerator, h = REFERENCE_GF[kind]
+        for order in range(25):
+            D = denominator_series(order)
+            if alpha % h:
+                factor = D.pow(alpha).inverse().sqrt()
+            else:
+                factor = D.pow(alpha // h).inverse()
+            expected = TruncatedSeries(numerator, order).pow(alpha) * factor
+            got = gf_expand(kind, alpha, order)
+            assert got == expected, order
+            if not alpha % h:  # integer lambda: no Fraction, not even 2/1
+                assert all(type(c) is int for p in got.coeffs for c in p.terms.values())
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):

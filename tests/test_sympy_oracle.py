@@ -3,10 +3,11 @@ Legendre and Gegenbauer code.
 
 Both of the package's routes are checked here against a third one: the
 Gegenbauer recurrence behind `family_polys`, and `series.gf_expand`, which
-expands (1 - 2xt + t^2)^(-alpha/2) by a series square root and reads no
-family rows.
+expands q(t)^alpha (1 - 2xt + t^2)^(-lambda) from the explicit Gegenbauer
+sum and reads no family rows.
 """
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,16 @@ from chebident.series import gf_expand
 sympy = pytest.importorskip("sympy")
 
 X = sympy.Symbol("x")
+T = sympy.Symbol("t")
 N_MAX = 24
+
+# The numerators q(t) of the families whose lambda is alpha.
+NUMERATORS = {Family.U: 1, Family.V: 1 - T, Family.W: 1 + T, Family.T_GF: 1 - T**2}
+
+
+@functools.cache
+def gegenbauer(n, lam):
+    return sympy.gegenbauer(n, lam, X)
 
 
 def terms_of(expr):
@@ -62,6 +72,19 @@ def test_legendre_series_oracle_is_gegenbauer(alpha):
     half = sympy.Rational(alpha, 2)
     rows = gf_expand(Family.LEGENDRE, alpha, N_MAX).coeffs
     assert_rows(Family.LEGENDRE, alpha, lambda n: sympy.gegenbauer(n, half, X), rows)
+
+
+@pytest.mark.parametrize("kind", list(NUMERATORS))
+@pytest.mark.parametrize("alpha", [1, 2, 3, 4])
+def test_series_oracle_is_filtered_gegenbauer(kind, alpha):
+    # [t^n] q^alpha (1-2xt+t^2)^(-alpha) = sum_k [t^k] q^alpha * C_{n-k}^(alpha)
+    q = sympy.Poly(NUMERATORS[kind] ** alpha, T).all_coeffs()[::-1]
+    rows = gf_expand(kind, alpha, N_MAX).coeffs
+
+    def reference(n):
+        return sum(c * gegenbauer(n - k, alpha) for k, c in enumerate(q[: n + 1]))
+
+    assert_rows(kind, alpha, reference, rows)
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 3, 4])

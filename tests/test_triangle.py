@@ -194,8 +194,9 @@ class TestDefiningRelation:
 
     @pytest.mark.parametrize("N", range(1, 7))
     def test_inverse_of_power_is_power_of_inverse(self, N):
-        # gf_expand's integer-lambda branch inverts (1-2xt+t^2)^lambda
-        # instead of powering F.
+        # Reference routes invert the short series (1-2xt+t^2)^lambda
+        # instead of powering F: the left side of defining_relation_series
+        # and the reference for gf_expand in tests/test_series.py.
         for order in range(25):
             D = denominator_series(order)
             assert D.pow(N + 1).inverse() == D.inverse().pow(N + 1)
