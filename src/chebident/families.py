@@ -154,8 +154,14 @@ def _rows(kind: Family, alpha: int, n: int) -> list[LaurentPoly]:
 
 
 def _divided(row: LaurentPoly, d: int) -> LaurentPoly:
-    """row / d, sharing ``row`` itself when d = 1."""
-    return row if d == 1 else LaurentPoly({e: Fraction(c, d) for e, c in row.terms.items()})
+    """row / d, sharing ``row`` itself when d = 1; exact quotients stay int."""
+    if d == 1:
+        return row
+    quotient = {}
+    for e, c in row._terms.items():
+        q, r = divmod(c, d)
+        quotient[e] = Fraction(c, d) if r else q
+    return LaurentPoly._raw(quotient)
 
 
 def family_poly(spec: FamilySpec, n: int) -> LaurentPoly:

@@ -280,7 +280,29 @@ class LaurentPoly:
 
     @classmethod
     def from_triples(cls, triples) -> "LaurentPoly":
+        """Inverse of `to_triples`.  Each field is an int or a decimal-integer
+        string (the CLI's JSON writes numerators and denominators as strings);
+        anything else raises TypeError, and a zero denominator ValueError."""
         terms: dict = {}
-        for e, num, den in triples:
-            terms[int(e)] = terms.get(int(e), 0) + Fraction(int(num), int(den))
+        for triple in triples:
+            if len(triple) != 3:
+                raise ValueError(f"expected [exponent, numerator, denominator], got {triple!r}")
+            e, num, den = (_triple_int(v, triple) for v in triple)
+            if den == 0:
+                raise ValueError(f"zero denominator in triple {triple!r}")
+            terms[e] = terms.get(e, 0) + Fraction(num, den)
         return cls(terms)
+
+
+_DECIMAL_INT = re.compile(r"-?[0-9]+")
+
+
+def _triple_int(value, triple) -> int:
+    """One field of a triple as an int; nothing is rounded or coerced."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _DECIMAL_INT.fullmatch(value):
+        return int(value)
+    raise TypeError(
+        f"triple fields must be int or decimal-integer str, got {value!r} in {triple!r}"
+    )

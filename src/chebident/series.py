@@ -8,7 +8,11 @@ every order-alpha generating function as one formula,
 q(t)^alpha (1 - 2xt + t^2)^(-alpha/h), from its own table of numerators q
 and divisors h (h = 2 for Legendre, 1 otherwise).  The denominator factor
 comes from the explicit Gegenbauer sum (the binomial series in t(2x - t)),
-over integers, for integer and half-integer lambda alike.
+over integers, for integer and half-integer lambda alike; it is built once
+per (2 lambda, order) and shared by every kind with that lambda.  The
+numerator q(t)^alpha has at most d alpha + 1 scalar coefficients (d =
+deg q), so it is applied as that many taps on the factor's rows, not as a
+series product; for q = 1 the factor is the expansion.
 
 A series carries its truncation order explicitly.  Arithmetic between two
 series truncates to the shorter operand (verification drivers naturally
@@ -19,6 +23,7 @@ arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from chebident import _backend as _k
 from chebident.exact import _require_int, binomial
@@ -246,6 +251,7 @@ def denominator_series(order: int) -> TruncatedSeries:
     )
 
 
+@lru_cache(maxsize=None)
 def _gegenbauer_sum(a: int, order: int) -> TruncatedSeries:
     """(1 - 2xt + t^2)^(-a/2) to t^order, from the explicit Gegenbauer sum.
 
@@ -287,7 +293,9 @@ def gf_expand(kind, alpha: int, order: int) -> TruncatedSeries:
     q is 1-t^2, 1, 1-t, 1+t, 1 for T_gf, U, V, W, Legendre, and lambda is
     alpha, except alpha/2 for Legendre.  The denominator factor is the
     explicit Gegenbauer sum (`_gegenbauer_sum`), one integer formula for
-    every lambda; q(t)^alpha multiplies it as a series.
+    every lambda, shared by every kind with the same 2 lambda.  Row m is
+    sum_j [t^j] q(t)^alpha * factor_(m-j), the at most d alpha + 1 taps of
+    the numerator (d = deg q); for q = 1 it is the factor row itself.
     """
     kind = Family(kind)
     _require_int("alpha", alpha)
@@ -302,7 +310,21 @@ def gf_expand(kind, alpha: int, order: int) -> TruncatedSeries:
         raise ValueError(f"series order must be >= 0, got {order}")
     numerator, h = _GF[kind]
     factor = _gegenbauer_sum(2 * alpha // h, order)
-    return TruncatedSeries(numerator, order).pow(alpha) * factor
+    if numerator == (1,):
+        return factor
+    taps = [1]  # [t^j] q(t)^alpha, by repeated scalar convolution
+    for _ in range(alpha):
+        prev, taps = taps, [0] * (len(taps) + len(numerator) - 1)
+        for i, p in enumerate(prev):
+            for j, q in enumerate(numerator):
+                taps[i + j] += p * q
+    rows = factor.coeffs
+    return TruncatedSeries._raw(
+        tuple(
+            LaurentPoly.combination((c, 0, rows[m - j]) for j, c in enumerate(taps[: m + 1]))
+            for m in range(order + 1)
+        )
+    )
 
 
 def x_minus_t_inverse_pow(k: int, order: int) -> TruncatedSeries:

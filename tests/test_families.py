@@ -17,7 +17,7 @@ from chebident.families import (
     ode_residual,
 )
 from chebident.laurent import LaurentPoly
-from chebident.series import gf_expand
+from chebident.series import TruncatedSeries, gf_expand
 
 
 def poly(kind, n, alpha=1):
@@ -126,9 +126,14 @@ class TestSeriesOracle:
     @pytest.mark.parametrize("alpha", [1, 2, 3])
     def test_recurrence_matches_series(self, kind, alpha):
         # acceptance covers alpha <= 4, n <= 48; this is the fast screen
-        if kind is Family.T_CLASSICAL:
-            pytest.skip("no generating-function route for the classical normalization")
         order = 24
+        if kind is Family.T_CLASSICAL:
+            # gf_expand has no classical kind and FamilySpec stops at alpha = 1:
+            # check the row store against (1 - xt)^alpha (1 - 2xt + t^2)^(-alpha).
+            numerator = TruncatedSeries([LaurentPoly.one(), -LaurentPoly.x_power(1)], order)
+            expansion = numerator.pow(alpha) * gf_expand(Family.U, alpha, order)
+            assert list(expansion.coeffs) == _rows(kind, alpha, order)[: order + 1]
+            return
         expansion = gf_expand(kind, alpha, order)
         for n in range(order + 1):
             assert expansion.coefficient(n) == poly(kind, n, alpha=alpha)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -154,6 +155,39 @@ class TestCanonicalForm:
     @given(polys)
     def test_triples_round_trip(self, p):
         assert LaurentPoly.from_triples(p.to_triples()) == p
+
+    @given(polys)
+    def test_triples_round_trip_through_cli_json_strings(self, p):
+        triples = [[e, str(num), str(den)] for e, num, den in p.to_triples()]
+        assert LaurentPoly.from_triples(triples) == p
+
+    @pytest.mark.parametrize(
+        "triple",
+        [
+            [1, 1.9, 1], [1, 1, 2.0], [1.0, 1, 1], [1, True, 1], [True, 1, 1], [1, 1, False],
+            [1, "1.5", "1"], [1, "1", " 2"], [1, "x", "1"], [1, None, 1], [1, Fraction(1, 2), 1],
+        ],
+    )
+    def test_triples_reject_non_integers(self, triple):
+        # Nothing is rounded: 1.9 used to truncate to 1 and True to count as 1.
+        with pytest.raises(TypeError, match=re.escape(repr(triple))):
+            LaurentPoly.from_triples([[0, 1, 1], triple])
+
+    @pytest.mark.parametrize("triple", [[1, 1, 0], [1, "3", "0"], [2, "0", "-0"]])
+    def test_triples_reject_zero_denominator(self, triple):
+        message = "zero denominator in triple " + re.escape(repr(triple))
+        with pytest.raises(ValueError, match=message):
+            LaurentPoly.from_triples([triple])
+
+    @pytest.mark.parametrize("triple", [[1, 2], [1, 2, 3, 4]])
+    def test_triples_reject_wrong_length(self, triple):
+        with pytest.raises(ValueError, match=re.escape(repr(triple))):
+            LaurentPoly.from_triples([triple])
+
+    def test_triples_sum_repeated_exponents(self):
+        assert LaurentPoly.from_triples([[2, "-3", "4"], [2, 1, 4], [0, 0, 5]]) == lp(
+            {2: Fraction(-1, 2)}
+        )
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from chebident import series as series_module
 from chebident.families import Family, FamilySpec, family_poly
 from chebident.laurent import LaurentPoly
 from chebident.series import (
@@ -250,6 +251,21 @@ class TestGfExpand:
             assert got == expected, order
             if not alpha % h:  # integer lambda: no Fraction, not even 2/1
                 assert all(type(c) is int for p in got.coeffs for c in p.terms.values())
+
+    @pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
+    def test_shared_factor_cache_is_coherent(self, descending):
+        # The denominator factor is memoized per (2 lambda, order) and shared
+        # by every kind with that lambda; whichever order and kind asked
+        # first, each expansion must be the truncation of the longest one.
+        series_module._gegenbauer_sum.cache_clear()
+        orders = sorted(range(25), reverse=descending)
+        for alpha in range(1, 5):
+            for kind in REFERENCE_GF:
+                got = {m: gf_expand(kind, alpha, m) for m in orders}
+                for m in orders:
+                    assert got[m] == got[24].truncate(m), (kind, alpha, m)
+            # U at alpha and Legendre at 2 alpha are both D^(-alpha).
+            assert gf_expand(Family.U, alpha, 24) == gf_expand(Family.LEGENDRE, 2 * alpha, 24)
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
