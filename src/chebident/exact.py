@@ -28,8 +28,12 @@ def binomial(top: int, k: int) -> int:
 
     Negative ``top`` is rejected: every binomial occurring in the verified
     identities has a nonnegative top, so a negative value indicates a
-    transcription error upstream.
+    transcription error upstream.  Bools and non-ints raise TypeError.
     """
+    # Inline so that plain ints (verify's per-term calls) pay no extra call.
+    if type(top) is not int or type(k) is not int:
+        _require_int("top", top)
+        _require_int("k", k)
     if top < 0:
         raise ValueError(f"binomial: negative top {top}")
     if k < 0:
@@ -41,6 +45,7 @@ def binomial(top: int, k: int) -> int:
 
 def double_factorial(m: int) -> int:
     """m!! for odd m >= -1, with the empty-product convention (-1)!! = 1."""
+    _require_int("m", m)
     if m < -1 or m % 2 == 0:
         raise ValueError(f"double_factorial: need odd m >= -1, got {m}")
     out = 1
@@ -55,6 +60,7 @@ def falling_factorial(x, k: int):
 
     ``x`` may be an int or a Fraction; the product is exact either way.
     """
+    _require_int("k", k)
     if k < 0:
         raise ValueError(f"falling_factorial: negative order {k}")
     out = 1

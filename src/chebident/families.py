@@ -41,7 +41,7 @@ append-only behind a lock; returned polynomials are immutable.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 
@@ -67,22 +67,26 @@ class Family(str, Enum):
     LEGENDRE = "Legendre"
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(namedtuple("FamilySpec", "kind alpha")):
     """A family together with its convolution order (1 = base family)."""
 
-    kind: Family
-    alpha: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "kind", Family(self.kind))
-        _require_int("alpha", self.alpha)
-        if self.alpha < 1:
-            raise ValueError(f"family order must be >= 1, got {self.alpha}")
-        if self.kind is Family.T_CLASSICAL and self.alpha != 1:
+    def __new__(cls, kind: Family, alpha: int = 1):
+        kind = Family(kind)
+        _require_int("alpha", alpha)
+        if alpha < 1:
+            raise ValueError(f"family order must be >= 1, got {alpha}")
+        if kind is Family.T_CLASSICAL and alpha != 1:
             raise ValueError(
                 "T_classical has no higher orders; use T_gf for convolution powers"
             )
+        return super().__new__(cls, kind, alpha)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make (and so _replace) skips __new__; keep the checks.
+        return cls(*iterable)
 
 
 _X = LaurentPoly.x_power(1)

@@ -12,31 +12,28 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
-
-from chebident.laurent import LaurentPoly
+from collections import namedtuple
 
 __all__ = ["ReportEntry", "VerificationReport"]
 
 
-@dataclass(frozen=True)
-class ReportEntry:
-    """Outcome of one verification cell.
+class ReportEntry(
+    namedtuple(
+        "ReportEntry", "identity n N passed residual rhs_polynomial elapsed_ms"
+    )
+):
+    """Outcome of one verification cell: ``identity`` (str), ``n`` and ``N``
+    (int), ``passed`` (bool), ``residual``, ``rhs_polynomial`` and
+    ``elapsed_ms`` (float).  Frozen: ``_replace`` makes a changed copy.
 
-    ``residual`` is the exact LHS - RHS polynomial in symbolic mode (zero
+    ``residual`` is the exact LHS - RHS LaurentPoly in symbolic mode (zero
     on pass) and None in numeric mode, which compares values only.
     ``rhs_polynomial`` records whether the right-hand side collapsed to a
     true polynomial (negative powers of x cancel); None when the check does
     not apply.
     """
 
-    identity: str
-    n: int
-    N: int
-    passed: bool
-    residual: LaurentPoly | None
-    rhs_polynomial: bool | None
-    elapsed_ms: float
+    __slots__ = ()
 
     def residual_text(self) -> str:
         return "" if self.residual is None else str(self.residual)
@@ -47,11 +44,19 @@ def _ms(entry: ReportEntry, timings: bool):
     return round(entry.elapsed_ms, 3) if timings else 0
 
 
-@dataclass
 class VerificationReport:
     """Ordered collection of verification cells."""
 
-    entries: list[ReportEntry] = field(default_factory=list)
+    def __init__(self, entries: list[ReportEntry] | None = None):
+        self.entries = [] if entries is None else entries
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(entries={self.entries!r})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.entries == other.entries
 
     @property
     def all_passed(self) -> bool:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from chebident.exact import _require_int, double_factorial, falling_factorial
@@ -47,11 +47,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Triangle:
-    """Rows N = 1..N_max of the coefficients [a_1(N), ..., a_N(N)]."""
+class Triangle(namedtuple("Triangle", "rows")):
+    """Rows N = 1..N_max of the coefficients [a_1(N), ..., a_N(N)], as ``rows``,
+    a tuple of int tuples."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def n_max(self) -> int:

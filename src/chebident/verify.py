@@ -70,13 +70,12 @@ validates the arguments, builds and compares the sides and times the cell;
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import threading
 import time
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache, partial
-from typing import Callable, NamedTuple
 
 from chebident.exact import _require_int, binomial
 from chebident.families import Family, _divide_exact, _rows, _scale
@@ -254,7 +253,7 @@ def _sides_thm7(n: int, N: int, first_kind: str):
 # -- the catalog -----------------------------------------------------------------
 
 
-class _Identity(NamedTuple):
+class _Identity(namedtuple("_Identity", "entry_point params sides fixed_N tracks_rhs")):
     """One catalog row.
 
     ``entry_point`` names the public ``verify_*`` function and ``params``
@@ -265,11 +264,7 @@ class _Identity(NamedTuple):
     the right-hand side is a true polynomial.
     """
 
-    entry_point: str
-    params: tuple
-    sides: Callable
-    fixed_N: int | None
-    tracks_rhs: bool
+    __slots__ = ()
 
 
 _CATALOG = {
@@ -455,6 +450,6 @@ def run_suite(
             params = dict(zip(row.params, (N, first_kind)))
             entry = check(n, mode=mode, **params)
             if entry.identity != identity.value:  # Ualpha_from_Legendre at alpha = 1
-                entry = dataclasses.replace(entry, identity=identity.value)
+                entry = entry._replace(identity=identity.value)
             report.entries.append(entry)
     return report

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -305,3 +308,22 @@ class TestUsage:
         code = run(["--help"])
         capsys.readouterr()
         assert code == 0
+
+
+class TestColdImport:
+    def test_cli_import_loads_no_introspection_modules(self):
+        # -S: no site module, so no .pth file can preload anything.
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import chebident.cli; "
+            "print(' '.join(sorted(sys.modules)))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", code, str(src)],
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        loaded = set(out.split())
+        assert "chebident.cli" in loaded
+        assert sorted(loaded & {"dataclasses", "inspect", "typing", "ast", "dis"}) == []

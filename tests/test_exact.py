@@ -31,6 +31,15 @@ class TestBinomial:
         with pytest.raises(ValueError):
             binomial(3, -2)
 
+    @pytest.mark.parametrize(
+        "top,k",
+        [(5, True), (True, 1), (5, 2.0), (5.0, 2), (5, Fraction(2)), ("5", 2)],
+        ids=["k-bool", "top-bool", "k-float", "top-float", "k-fraction", "top-str"],
+    )
+    def test_rejects_non_int(self, top, k):
+        with pytest.raises(TypeError, match="must be an int"):
+            binomial(top, k)
+
     def test_pascal_identity(self):
         for a in range(1, 21):
             for k in range(1, a + 1):
@@ -47,6 +56,11 @@ class TestDoubleFactorial:
     @pytest.mark.parametrize("m", [0, 2, -3, 4])
     def test_rejects_invalid(self, m):
         with pytest.raises(ValueError):
+            double_factorial(m)
+
+    @pytest.mark.parametrize("m", [True, False, 3.0, Fraction(3), "3"], ids=repr)
+    def test_rejects_non_int(self, m):
+        with pytest.raises(TypeError, match="m must be an int"):
             double_factorial(m)
 
     def test_factorial_split(self):
@@ -74,6 +88,11 @@ class TestFallingFactorial:
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
             falling_factorial(2, -1)
+
+    @pytest.mark.parametrize("k", [True, False, 2.0, Fraction(2), "2"], ids=repr)
+    def test_rejects_non_int_order(self, k):
+        with pytest.raises(TypeError, match="k must be an int"):
+            falling_factorial(5, k)
 
     @given(rationals, st.integers(0, 10), st.integers(0, 10))
     def test_additivity(self, x, j, k):
