@@ -4,7 +4,8 @@ Subcommands:
 
   poly               render one family member (pretty text, JSON triples, CSV)
   triangle           emit the coefficient triangle rows
-  verify             run identity certifications over an (n, N) grid
+  verify             certify identities over an (n, N) grid; a cell passes
+                     only when its residual is the zero Laurent polynomial
   defining-relation  certify the series defining relation for N = 1..N_max
 
 Exit codes: 0 success, 1 at least one verification cell failed, 2 usage
@@ -33,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Exact Chebyshev/Legendre generating-function toolkit: "
             "polynomial families, the derivative-expansion coefficient "
-            "triangle, and symbolic identity certification."
+            "triangle, and exact identity certification."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -54,7 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
     tri.add_argument("--format", choices=_FORMATS, default="pretty")
     tri.add_argument("--output", help="write to this path instead of stdout")
 
-    ver = sub.add_parser("verify", help="certify identities over a grid")
+    ver = sub.add_parser(
+        "verify", help="certify identities exactly (zero residual) over a grid"
+    )
     ver.add_argument(
         "identity",
         choices=["all"] + [i.value for i in IdentityId],
@@ -62,13 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ver.add_argument("--n-max", type=int, required=True, help="largest n")
     ver.add_argument("--N-max", type=int, required=True, help="largest N (or alpha)")
-    ver.add_argument(
-        "--mode",
-        choices=["symbolic", "numeric"],
-        default="symbolic",
-        help="symbolic: exact zero residual; numeric: exact evaluation of both "
-        "sides at degree+1 integer points (also a proof, no residual reported)",
-    )
     ver.add_argument(
         "--first-kind",
         choices=["gf", "classical"],
@@ -157,13 +153,7 @@ def _cmd_verify(args, parser) -> int:
         _select(identities, args.n_max, args.N_max)
     except ValueError as exc:
         parser.error(str(exc))
-    report = run_suite(
-        identities,
-        n_max=args.n_max,
-        N_max=args.N_max,
-        mode=args.mode,
-        first_kind=args.first_kind,
-    )
+    report = run_suite(identities, args.n_max, args.N_max, args.first_kind)
     _emit(report.render(args.format, timings=args.timings), args.output)
     return 0 if report.all_passed else 1
 

@@ -26,17 +26,13 @@ class ReportEntry(
     (int), ``passed`` (bool), ``residual``, ``rhs_polynomial`` and
     ``elapsed_ms`` (float).  Frozen: ``_replace`` makes a changed copy.
 
-    ``residual`` is the exact LHS - RHS LaurentPoly in symbolic mode (zero
-    on pass) and None in numeric mode, which compares values only.
+    ``residual`` is the exact LHS - RHS LaurentPoly, zero on pass.
     ``rhs_polynomial`` records whether the right-hand side collapsed to a
     true polynomial (negative powers of x cancel); None when the check does
     not apply.
     """
 
     __slots__ = ()
-
-    def residual_text(self) -> str:
-        return "" if self.residual is None else str(self.residual)
 
 
 def _ms(entry: ReportEntry, timings: bool):
@@ -81,7 +77,7 @@ class VerificationReport:
         for e in self.entries:
             status = "PASS" if e.passed else "FAIL"
             line = f"{status} {e.identity} N={e.N} n={e.n}"
-            if not e.passed and e.residual is not None:
+            if not e.passed:
                 line += f" residual: {e.residual}"
             if e.rhs_polynomial is False:
                 line += " [rhs not a polynomial]"
@@ -104,7 +100,7 @@ class VerificationReport:
                 "n": e.n,
                 "N": e.N,
                 "pass": e.passed,
-                "residual": e.residual_text(),
+                "residual": str(e.residual),
                 "ms": _ms(e, timings),
             }
             for e in self.entries
@@ -122,7 +118,7 @@ class VerificationReport:
                     e.n,
                     e.N,
                     "true" if e.passed else "false",
-                    e.residual_text(),
+                    str(e.residual),
                     _ms(e, timings),
                 ]
             )

@@ -16,13 +16,6 @@ are
   cor3                     d = s^n 2^N N!
   intro, thm7              d = 1
 
-The numeric mode instead compares the integer values of x^(-lo) L' and
-x^(-lo) R', sum c k^(e-lo) over their terms c x^e, at x = k = 1, ...,
-hi - lo + 1, where [lo, hi] is their exponent span: x^(-lo) (L' - R') is a
-polynomial of degree at most hi - lo, so vanishing at that many distinct
-points proves it zero, and the numeric verdict is a proof that equals the
-symbolic one.  Scaling by d changes neither the span nor the verdict.
-
 Identity catalog (n >= 0, N >= 1, alpha >= 1; prefix sums run over
 l = 0..n unless stated):
 
@@ -293,15 +286,13 @@ _CATALOG = {
 # -- verification driver ---------------------------------------------------------
 
 
-def _check_args(n: int, mode: str, first_kind: str = "gf", **orders: int) -> None:
+def _check_args(n: int, first_kind: str = "gf", **orders: int) -> None:
     """Reject arguments that would make a cell pass vacuously or fail late.
 
     n < 0 and any order (N or alpha) < 1 would leave the sums empty.  A
     bool or non-int index is a TypeError: True would certify as n = 1 and
     report "n": true.
     """
-    if mode not in ("symbolic", "numeric"):
-        raise ValueError(f"mode must be 'symbolic' or 'numeric', got {mode!r}")
     if first_kind not in ("gf", "classical"):
         raise ValueError(f"first_kind must be 'gf' or 'classical', got {first_kind!r}")
     for name, value, least in (("n", n, 0), *((k, v, 1) for k, v in orders.items())):
@@ -310,34 +301,21 @@ def _check_args(n: int, mode: str, first_kind: str = "gf", **orders: int) -> Non
             raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
-def _certify(identity: IdentityId, n: int, mode: str, **params) -> ReportEntry:
+def _certify(identity: IdentityId, n: int, **params) -> ReportEntry:
     """Certify one cell of ``identity``: validate, build both sides, compare, time.
 
     ``params`` are the entry point's own arguments (N or alpha, first_kind).
     The report's N column holds alpha for the Legendre convolutions and 0
     for the introductory identity.
     """
-    _check_args(n, mode, **params)
+    _check_args(n, **params)
     row = _CATALOG[identity]
     start = time.perf_counter()
     lhs, rhs, d = row.sides(n, **params)
     rhs_polynomial = rhs.is_polynomial() if row.tracks_rhs else None
-    if mode == "symbolic":
-        passed = lhs == rhs
-        # Only a failure pays for the rationals: its residual is (L' - R')/d.
-        residual = LaurentPoly.zero() if passed else LaurentPoly(((lhs - rhs) / d).terms)
-    else:
-        # x^(-lo) (lhs - rhs) is a polynomial of degree <= hi - lo, so it is
-        # zero iff it vanishes at the hi - lo + 1 distinct points x = 1, 2, ...;
-        # there x^(-lo) L' and x^(-lo) R' are the integers sum c k^(e-lo).
-        exponents = [e for p in (lhs, rhs) if p for e in (p.min_degree, p.max_degree)]
-        lo, hi = min(exponents, default=0), max(exponents, default=0)
-        left, right = ([(c, e - lo) for e, c in p.terms.items()] for p in (lhs, rhs))
-        residual = None
-        passed = all(
-            sum(c * k**e for c, e in left) == sum(c * k**e for c, e in right)
-            for k in range(1, hi - lo + 2)
-        )
+    passed = lhs == rhs
+    # Only a failure pays for the rationals: its residual is (L' - R')/d.
+    residual = LaurentPoly.zero() if passed else LaurentPoly(((lhs - rhs) / d).terms)
     return ReportEntry(
         identity=identity.value,
         n=n,
@@ -349,39 +327,37 @@ def _certify(identity: IdentityId, n: int, mode: str, **params) -> ReportEntry:
     )
 
 
-def verify_intro_U_from_T(n: int, mode: str = "symbolic") -> ReportEntry:
-    return _certify(IdentityId.INTRO_U_FROM_T, n, mode)
+def verify_intro_U_from_T(n: int) -> ReportEntry:
+    return _certify(IdentityId.INTRO_U_FROM_T, n)
 
 
-def verify_U_from_Legendre(n: int, alpha: int = 1, mode: str = "symbolic") -> ReportEntry:
+def verify_U_from_Legendre(n: int, alpha: int = 1) -> ReportEntry:
     identity = IdentityId.U_FROM_LEGENDRE if alpha == 1 else IdentityId.UALPHA_FROM_LEGENDRE
-    return _certify(identity, n, mode, alpha=alpha)
+    return _certify(identity, n, alpha=alpha)
 
 
-def verify_thm2(n: int, N: int, mode: str = "symbolic") -> ReportEntry:
-    return _certify(IdentityId.THM2, n, mode, N=N)
+def verify_thm2(n: int, N: int) -> ReportEntry:
+    return _certify(IdentityId.THM2, n, N=N)
 
 
-def verify_cor3(n: int, N: int, mode: str = "symbolic") -> ReportEntry:
-    return _certify(IdentityId.COR3, n, mode, N=N)
+def verify_cor3(n: int, N: int) -> ReportEntry:
+    return _certify(IdentityId.COR3, n, N=N)
 
 
-def verify_cor4_reconstructed(n: int, N: int, mode: str = "symbolic") -> ReportEntry:
-    return _certify(IdentityId.COR4_RECONSTRUCTED, n, mode, N=N)
+def verify_cor4_reconstructed(n: int, N: int) -> ReportEntry:
+    return _certify(IdentityId.COR4_RECONSTRUCTED, n, N=N)
 
 
-def verify_thm5(n: int, N: int, mode: str = "symbolic") -> ReportEntry:
-    return _certify(IdentityId.THM5, n, mode, N=N)
+def verify_thm5(n: int, N: int) -> ReportEntry:
+    return _certify(IdentityId.THM5, n, N=N)
 
 
-def verify_thm6(n: int, N: int, mode: str = "symbolic") -> ReportEntry:
-    return _certify(IdentityId.THM6, n, mode, N=N)
+def verify_thm6(n: int, N: int) -> ReportEntry:
+    return _certify(IdentityId.THM6, n, N=N)
 
 
-def verify_thm7(
-    n: int, N: int, mode: str = "symbolic", first_kind: str = "gf"
-) -> ReportEntry:
-    return _certify(IdentityId.THM7, n, mode, N=N, first_kind=first_kind)
+def verify_thm7(n: int, N: int, first_kind: str = "gf") -> ReportEntry:
+    return _certify(IdentityId.THM7, n, N=N, first_kind=first_kind)
 
 
 # -- suite runner -----------------------------------------------------------------
@@ -410,12 +386,17 @@ def suite_cells(identity: IdentityId, n_max: int, N_max: int):
 def _select(identities, n_max: int, N_max: int) -> list:
     """The selected identities in catalog order, each with cells on the grid.
 
-    Raises ValueError for a negative grid or an identity the grid gives no
-    cells, which would otherwise pass vacuously, and TypeError for a bool
-    or non-int bound.
+    Raises ValueError for a negative grid, an empty selection or an identity
+    the grid gives no cells, any of which would otherwise pass vacuously,
+    and TypeError for a bool or non-int bound or a single id (a str) in
+    place of a collection of them.
     """
     _check_grid(n_max, N_max)
+    if isinstance(identities, str):
+        raise TypeError(f"identities must be a collection of ids, got {identities!r}")
     wanted = {IdentityId(x) for x in identities}
+    if not wanted:
+        raise ValueError("identities must name at least one identity")
     selected = [i for i in IdentityId if i in wanted]
     empty = [i.value for i in selected if not suite_cells(i, n_max, N_max)]
     if empty:
@@ -426,11 +407,7 @@ def _select(identities, n_max: int, N_max: int) -> list:
 
 
 def run_suite(
-    identities,
-    n_max: int,
-    N_max: int,
-    mode: str = "symbolic",
-    first_kind: str = "gf",
+    identities, n_max: int, N_max: int, first_kind: str = "gf"
 ) -> VerificationReport:
     """Run the selected identities over the full grid.
 
@@ -439,7 +416,7 @@ def run_suite(
     introductory identity, which has no second parameter.
     """
     selected = _select(identities, n_max, N_max)
-    _check_args(n_max, mode, first_kind)
+    _check_args(n_max, first_kind)
     report = VerificationReport()
     for identity in selected:
         row = _CATALOG[identity]
@@ -448,7 +425,7 @@ def run_suite(
         check = globals()[row.entry_point]
         for N, n in suite_cells(identity, n_max, N_max):
             params = dict(zip(row.params, (N, first_kind)))
-            entry = check(n, mode=mode, **params)
+            entry = check(n, **params)
             if entry.identity != identity.value:  # Ualpha_from_Legendre at alpha = 1
                 entry = entry._replace(identity=identity.value)
             report.entries.append(entry)

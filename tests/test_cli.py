@@ -138,14 +138,13 @@ class TestVerify:
         assert lines[1] == "thm5,0,1,true,0,0"
         assert len(lines) == 4
 
-    def test_numeric_mode(self, capsys):
-        code, out = invoke(
-            capsys,
-            "verify", "thm2", "--n-max", "3", "--N-max", "2",
-            "--mode", "numeric", "--format", "json",
-        )
-        assert code == 0
-        assert all(e["residual"] == "" for e in json.loads(out))
+    def test_mode_option_is_usage_error(self, capsys):
+        # There is one exact verdict; no option selects another.
+        code = run(["verify", "thm2", "--n-max", "2", "--N-max", "1", "--mode", "numeric"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--mode" in captured.err
 
     def test_classical_thm7_fails_with_exit_1(self, capsys):
         code, out = invoke(
@@ -202,10 +201,6 @@ class TestGoldenDigests:
                 "3d2f30fb13025d2f6abdf63f58abd5e386fdc664fb7f16620c2affd0e7517a49",
             ),
             (
-                ("--n-max", "6", "--N-max", "3", "--mode", "numeric", "--format", "json"),
-                "1b0613193becadc4734fb1046c4b5697825c0d424830e77043d68ccd29731b87",
-            ),
-            (
                 ("--n-max", "6", "--N-max", "3", "--first-kind", "classical", "--format", "csv"),
                 "c0631795e2b90b8951bc068e44648a0a73f191f3257edd2d0b1582be248f6e06",
             ),
@@ -220,7 +215,6 @@ class TestGoldenDigests:
         ],
         ids=[
             "symbolic-json",
-            "numeric-json",
             "classical-csv",
             "symbolic-json-16x6",
             "classical-csv-12x5",

@@ -1,14 +1,16 @@
-"""The public surface: star-imports, every ``__all__`` entry, the README example."""
+"""The public surface: star-imports, every ``__all__`` entry, the README examples."""
 
 import ast
 import importlib
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import chebident
+from chebident.cli import run
 
 MODULES = [chebident] + [
     importlib.import_module(f"chebident.{info.name}")
@@ -36,15 +38,15 @@ def test_all_names_exist(module):
     assert len(set(module.__all__)) == len(module.__all__)
 
 
-def _readme_python_api_block() -> str:
-    section = README.read_text(encoding="utf-8").split("## Python API", 1)[1]
-    match = re.search(r"```python\n(.*?)```", section, re.DOTALL)
-    assert match, "README has no python block under '## Python API'"
+def _readme_block(heading: str, lang: str) -> str:
+    section = README.read_text(encoding="utf-8").split(f"## {heading}\n", 1)[1]
+    match = re.search(rf"```{lang}\n(.*?)```", section, re.DOTALL)
+    assert match, f"README has no {lang} block under '## {heading}'"
     return match.group(1)
 
 
 def test_readme_python_api_runs():
-    code = _readme_python_api_block()
+    code = _readme_block("Python API", "python")
     namespace: dict = {}
     exec(code, namespace)
     # Lines annotated with a Python literal (`expr  # True`) must evaluate to it.
@@ -58,3 +60,15 @@ def test_readme_python_api_runs():
         assert eval(expr, namespace) == expected, line
         checked += 1
     assert checked
+
+
+def test_readme_cli_runs():
+    # Every command in the CLI block must parse and run; a removed option
+    # left in the docs is a usage error (exit 2).
+    commands = _readme_block("CLI", "sh").splitlines()
+    assert commands
+    for line in commands:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "chebident", line
+        expected = 1 if line.partition("#")[2].strip() == "exits 1" else 0
+        assert run(argv[1:]) == expected, line

@@ -354,8 +354,7 @@ class TestIntegerSides:
 
     # sha256 of the report with the triangle's row N = 2 perturbed, recorded
     # while both sides were still assembled over rationals: (L' - R')/d must
-    # reproduce every failing residual byte for byte, and numeric mode every
-    # verdict.
+    # reproduce every failing residual byte for byte.
     PERTURBED_IDS = [
         IdentityId.THM2,
         IdentityId.COR3,
@@ -363,24 +362,20 @@ class TestIntegerSides:
         IdentityId.THM5,
         IdentityId.THM6,
     ]
-    PERTURBED_DIGESTS = {
-        "symbolic": "d984629bb1cdbbc996671ba121baa0b1eca6314ec6e69e0449b8c33c6259f738",
-        "numeric": "37e0780a963562a6f086414bfe8c1c349732bb4d905ed89df3a229b36fe1ede8",
-    }
+    PERTURBED_DIGEST = "d984629bb1cdbbc996671ba121baa0b1eca6314ec6e69e0449b8c33c6259f738"
 
-    @pytest.mark.parametrize("mode", ["symbolic", "numeric"])
-    def test_perturbed_triangle_residuals(self, monkeypatch, mode):
+    def test_perturbed_triangle_residuals(self, monkeypatch):
         rows = triangle_recurrence(3).rows
         bad = Triangle(rows[:1] + ((rows[1][0] + 1, rows[1][1]),) + rows[2:])
         monkeypatch.setattr(verify, "triangle_recurrence", lambda N: bad)
-        report = run_suite(self.PERTURBED_IDS, 4, 3, mode=mode)
+        report = run_suite(self.PERTURBED_IDS, 4, 3)
         assert [e.passed for e in report.entries] == [e.N != 2 for e in report.entries]
         digest = hashlib.sha256(report.render("json").encode()).hexdigest()
-        assert digest == self.PERTURBED_DIGESTS[mode]
+        assert digest == self.PERTURBED_DIGEST
 
 
-# The 20 points the former random sampler checked by default: a residual
-# vanishing there but nowhere else passed numeric mode.
+# The 20 points a former random sampler checked by default: a residual
+# vanishing there but nowhere else passed a sampled comparison.
 FORMER_SAMPLE_POINTS = [
     Fraction(10, 7), Fraction(-13, 7), Fraction(6, 5), Fraction(9, 8), Fraction(1),
     Fraction(2), Fraction(-2, 3), Fraction(-1), Fraction(-7, 5), Fraction(-5, 3),
@@ -404,48 +399,19 @@ def _set_thm2_residual(monkeypatch, residual: LaurentPoly) -> None:
     monkeypatch.setitem(verify._CATALOG, IdentityId.THM2, row._replace(sides=sides))
 
 
-class TestNumericMode:
-    def test_agrees_with_symbolic(self):
-        for first_kind in ("gf", "classical"):
-            sym = run_suite(ALL_IDS, 12, 5, first_kind=first_kind)
-            num = run_suite(ALL_IDS, 12, 5, mode="numeric", first_kind=first_kind)
-            assert [(e.identity, e.N, e.n, e.passed) for e in num.entries] == [
-                (e.identity, e.N, e.n, e.passed) for e in sym.entries
-            ]
-            assert all(e.residual is None for e in num.entries)
-            # The classical grid fails some thm7 cells: FAIL must agree too.
-            assert sym.all_passed == (first_kind == "gf")
-
-    def test_numeric_detects_classical_failure(self):
-        assert not verify_thm7(1, 1, mode="numeric", first_kind="classical").passed
-
+class TestExactVerdict:
     def test_nonzero_residual_with_many_roots_fails(self, monkeypatch):
-        # P has degree 20 and vanishes at 20 rationals; numeric mode must
-        # still see that P != 0, which needs 21 points, not 20.
+        # P has degree 20 and vanishes at 20 rationals; the verdict must still
+        # see that P != 0 and report P itself as the residual.
         P = _vanishing_at(FORMER_SAMPLE_POINTS)
         assert P.max_degree == 20
         _set_thm2_residual(monkeypatch, P)
-        assert not verify_thm2(1, 1, mode="numeric").passed
-        assert not verify_thm2(1, 1).passed
+        entry = verify_thm2(1, 1)
+        assert not entry.passed
+        assert entry.residual == P
 
-    @pytest.mark.parametrize("shift", [0, -3, 4])
-    def test_residual_vanishing_at_all_but_one_point_fails(self, monkeypatch, shift):
-        # x^shift (x-1)...(x-5) spans exponents shift..shift+5 and vanishes at
-        # x = 1..5, so only the sixth point x = 6 tells it from zero.
-        _set_thm2_residual(monkeypatch, _vanishing_at(range(1, 6)).shift(shift))
-        assert not verify_thm2(1, 1, mode="numeric").passed
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            verify_thm2(1, 1, mode="float")
-
-
-class TestPointValidation:
     def test_failing_cell_cannot_pass_vacuously(self):
-        # Numeric mode picks its points from the degree span, so a failing
-        # cell always has a point where the two sides differ.
         assert not verify_thm7(3, 2, first_kind="classical").passed
-        assert not verify_thm7(3, 2, mode="numeric", first_kind="classical").passed
 
 
 class TestIndexValidation:
@@ -535,8 +501,16 @@ class TestRunSuite:
         with pytest.raises(TypeError, match=rf"^{name} must be an int"):
             suite_cells(IdentityId.THM2, n_max, N_max)
 
-    def test_empty_identity_set(self):
-        assert run_suite([], n_max=4, N_max=2).entries == []
+    def test_rejects_empty_identity_set(self):
+        # An empty selection would otherwise pass vacuously.
+        with pytest.raises(ValueError, match="^identities must name at least one identity$"):
+            run_suite([], n_max=4, N_max=2)
+
+    @pytest.mark.parametrize("single", ["thm2", IdentityId.THM2], ids=["str", "IdentityId"])
+    def test_rejects_single_id_for_collection(self, single):
+        # A str is iterable, so "thm2" would otherwise select "t", "h", ...
+        with pytest.raises(TypeError, match="^identities must be a collection of ids"):
+            run_suite(single, n_max=4, N_max=2)
 
     def test_thm2_only_deep_grid(self):
         report = run_suite([IdentityId.THM2], n_max=16, N_max=6)
