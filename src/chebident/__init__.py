@@ -13,7 +13,7 @@ The package computes, in exact rational arithmetic:
     catalog of convolution identities linking all of the above.
 """
 
-from chebident.exact import BigRational, binomial, double_factorial, falling_factorial
+from chebident.exact import binomial, double_factorial, falling_factorial
 from chebident.families import (
     Family,
     FamilySpec,
@@ -53,7 +53,6 @@ from chebident.verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigRational",
     "Family",
     "FamilySpec",
     "IdentityId",

@@ -1,8 +1,8 @@
 """Exact scalar arithmetic and combinatorial primitives.
 
-Every coefficient in this package is an exact rational.  `BigRational` is
-the stdlib `fractions.Fraction`, which already guarantees the canonical
-form we rely on: lowest terms, positive denominator, zero stored as 0/1.
+Every coefficient in this package is an exact rational, a stdlib
+`fractions.Fraction`, which already guarantees the canonical form we rely
+on: lowest terms, positive denominator, zero stored as 0/1.
 Plain `int` is used interchangeably wherever a value is known to be an
 integer; Python promotes mixed int/Fraction arithmetic exactly.
 """
@@ -10,11 +10,8 @@ integer; Python promotes mixed int/Fraction arithmetic exactly.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-BigRational = Fraction
-
-__all__ = ["BigRational", "binomial", "double_factorial", "falling_factorial"]
+__all__ = ["binomial", "double_factorial", "falling_factorial"]
 
 
 def _require_int(name: str, value) -> None:

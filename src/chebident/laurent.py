@@ -107,16 +107,6 @@ class LaurentPoly:
         _require_int("e", e)
         return self._terms.get(e, 0)
 
-    @property
-    def min_degree(self):
-        """Smallest exponent, or None for the zero polynomial."""
-        return min(self._terms) if self._terms else None
-
-    @property
-    def max_degree(self):
-        """Largest exponent, or None for the zero polynomial."""
-        return max(self._terms) if self._terms else None
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -184,18 +174,6 @@ class LaurentPoly:
         return LaurentPoly._raw(
             {e - 1: c * e for e, c in self._terms.items() if e != 0}
         )
-
-    def evaluate(self, x0) -> Fraction:
-        """Exact value at x0; x0 must be nonzero if negative exponents occur."""
-        x0 = Fraction(x0)
-        if not self._terms:
-            return Fraction(0)
-        if x0 == 0 and min(self._terms) < 0:
-            raise ZeroDivisionError("evaluating negative powers of x at x = 0")
-        total = Fraction(0)
-        for e, c in self._terms.items():
-            total += c * x0**e
-        return total
 
     # -- equality / hashing --------------------------------------------------
 

@@ -15,11 +15,15 @@ seeded by a_1(1) = 1.  The recurrence is normative here; the closed forms
 (`a1_closed`, `a_closed`) are independent cross-checks, and
 `verify_defining_relation` certifies the defining relation itself.  With
 D = 1 - 2xt + t^2, multiplying the relation by (x-t)^(2N) D^(N+1) clears
-every denominator and leaves a polynomial identity in t of degree <= 2N,
-which is checked exactly; nothing is inverted.  A PASS therefore proves
-the relation for all t-orders.  The `order` argument names the t-series
-comparison the certificate stands for and must be >= 3N, the order at
-which that comparison would reach t^(2N).
+every denominator and leaves a polynomial identity in t of degree <= 2N.
+Both of its sides are built as exact t-polynomials (lists of Laurent
+x-coefficients indexed by t-power, never truncated), and every coefficient
+is one weighted sum of x-shifted coefficients of the previous step: D,
+x - t and d/dt act as a few monomial taps each, so no series and no
+polynomial product runs.  A PASS therefore proves the relation for all
+t-orders.  The `order` argument names the t-series comparison the
+certificate stands for and must be >= 3N, the order at which that
+comparison would reach t^(2N).
 
 Entries grow superexponentially (a_1(13) = 23!! > 3*10^11), hence exact
 big integers throughout.
@@ -32,11 +36,11 @@ import threading
 import time
 from collections import namedtuple
 from fractions import Fraction
+from itertools import chain
 
 from chebident.exact import _require_int, double_factorial, falling_factorial
 from chebident.laurent import LaurentPoly
 from chebident.report import ReportEntry
-from chebident.series import TruncatedSeries, denominator_series, x_minus_t_pow
 
 __all__ = [
     "Triangle",
@@ -145,26 +149,53 @@ def a_closed(i: int, N: int) -> int:
     return int(total)
 
 
+def _taps(seq, m, taps):
+    """(c, k, seq[m - j]) for the (c, k, j) in ``taps`` with m - j inside ``seq``.
+
+    Fed to `LaurentPoly.combination`, this is coefficient m of
+    sum c x^k t^j * seq, for a t-polynomial ``seq`` (a list indexed by
+    t-power).
+    """
+    return ((c, k, seq[m - j]) for c, k, j in taps if 0 <= m - j < len(seq))
+
+
+# D = 1 - 2xt + t^2 as (c, k, j) taps: c x^k t^j.
+_D_TAPS = ((1, 0, 0), (-2, 1, 1), (1, 0, 2))
+
+
 def verify_defining_relation(N: int, order: int) -> ReportEntry:
     """Certify 2^N N! F^(N+1) = sum_i a_i(N) (x-t)^(i-2N) F^(i) for all t-orders.
 
     With D = 1 - 2xt + t^2 and F^(i) = P_i / D^(i+1), where P_0 = 1 and
-    P_i = P_{i-1}' D - i P_{i-1} D', multiplying through by
-    (x-t)^(2N) D^(N+1) clears every denominator.  What remains is the
-    polynomial identity
+    P_i = P_{i-1}' D + 2i (x-t) P_{i-1} (D' = -2(x-t)), multiplying
+    through by (x-t)^(2N) D^(N+1) clears every denominator.  What remains
+    is the polynomial identity
 
         2^N N! (x-t)^(2N) = sum_{i=1..N} a_i(N) (x-t)^i P_i D^(N-i)
 
-    in t, of degree <= 2N (deg_t P_i <= i), checked exactly with series
-    of order 2N, so a PASS proves the relation for all t-orders.
-    ``order`` is the t-order of the series comparison this certificate
-    stands for (differentiating i times costs i orders, so that
-    comparison reaches t^(order-N)).  The series difference is the
-    polynomial difference times D^(-N-1), whose constant term is 1, so
-    both have the same lowest nonzero coefficient, at some t^k with
-    k <= 2N.  ``order`` must be >= 3N, so that k <= order - N; a smaller
-    order raises ValueError.  Failure is reported, not raised; the
-    residual recorded on failure is that lowest nonzero coefficient.
+    in t, of degree <= 2N.  Both sides are built as exact t-polynomials,
+    lists of x-coefficients indexed by t-power, with nothing truncated:
+    deg_t P_i <= i, and the right side, summed by Horner in D, has
+    deg_t <= 2i after step i.  Every coefficient is one
+    `LaurentPoly.combination` of monomial taps, so no series and no
+    polynomial product runs:
+
+        P_i[m]   = (m+1) P_{i-1}[m+1] + 2(i-m) x P_{i-1}[m]
+                   + (m-1-2i) P_{i-1}[m-1]
+        rhs_i[m] = rhs_{i-1}[m] - 2x rhs_{i-1}[m-1] + rhs_{i-1}[m-2]
+                   + sum_j a_i(N) C(i,j) (-1)^j x^(i-j) P_i[m-j]
+        lhs[m]   = 2^N N! C(2N,m) (-1)^m x^(2N-m)
+
+    A PASS is lhs == rhs coefficient by coefficient, and proves the
+    relation for all t-orders.  ``order`` is the t-order of the series
+    comparison this certificate stands for (differentiating i times costs
+    i orders, so that comparison reaches t^(order-N)).  The series
+    difference is the polynomial difference times D^(-N-1), whose
+    constant term is 1, so both have the same lowest nonzero coefficient,
+    at some t^k with k <= 2N.  ``order`` must be >= 3N, so that
+    k <= order - N; a smaller order raises ValueError.  Failure is
+    reported, not raised; the residual recorded on failure is that lowest
+    nonzero coefficient, lhs[k] - rhs[k].
     """
     _require_int("N", N)
     _require_int("order", order)
@@ -174,22 +205,32 @@ def verify_defining_relation(N: int, order: int) -> ReportEntry:
         raise ValueError(f"series order {order} must be at least 3N={3 * N}")
     start = time.perf_counter()
 
-    degree = 2 * N
-    D = denominator_series(degree)
-    x_t = x_minus_t_pow(1, degree)
+    one = LaurentPoly.one()
     row = _rows_up_to(N)[N - 1]
-
-    # Horner in D: after step i, rhs = sum_{j<=i} a_j (x-t)^j P_j D^(i-j).
-    # D' = -2(x-t), so P_i = P_{i-1}' D + 2i (x-t) P_{i-1}; P_{i-1}' is
-    # padded back to order 2N, which is exact since deg_t P_{i-1} < 2N.
-    P = TruncatedSeries.one(degree)
-    rhs = TruncatedSeries.zero(degree)
+    P = [one]
+    rhs: list = []
     for i in range(1, N + 1):
-        P = TruncatedSeries(P.derivative_t().coeffs, degree) * D + (2 * i) * (x_t * P)
-        rhs = rhs * D + row[i - 1] * (x_minus_t_pow(i, degree) * P)
-    lhs = (2**N * math.factorial(N)) * x_minus_t_pow(2 * N, degree)
+        P = [
+            LaurentPoly.combination(
+                _taps(P, m, ((m + 1, 0, -1), (2 * (i - m), 1, 0), (m - 1 - 2 * i, 0, 1)))
+            )
+            for m in range(i + 1)
+        ]
+        # a_i(N) (x-t)^i as taps.
+        x_t = [(row[i - 1] * math.comb(i, j) * (-1) ** j, i - j, j) for j in range(i + 1)]
+        rhs = [
+            LaurentPoly.combination(chain(_taps(rhs, m, _D_TAPS), _taps(P, m, x_t)))
+            for m in range(2 * i + 1)
+        ]
 
-    residual = next((c for c in (lhs - rhs).coeffs if not c.is_zero()), LaurentPoly.zero())
+    scale = 2**N * math.factorial(N)
+    residual = LaurentPoly.zero()
+    for m, r in enumerate(rhs):
+        lhs_m = (scale * math.comb(2 * N, m) * (-1) ** m, 2 * N - m, one)
+        diff = LaurentPoly.combination((lhs_m, (-1, 0, r)))
+        if diff:
+            residual = diff
+            break
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return ReportEntry(
         identity="defining_relation",

@@ -38,6 +38,43 @@ def test_all_names_exist(module):
     assert len(set(module.__all__)) == len(module.__all__)
 
 
+def test_package_all_is_pinned():
+    # Removing or adding a public name is an API change; make it deliberate.
+    assert sorted(chebident.__all__) == [
+        "Family",
+        "FamilySpec",
+        "IdentityId",
+        "LaurentPoly",
+        "ReportEntry",
+        "Triangle",
+        "TruncatedSeries",
+        "VerificationReport",
+        "a1_closed",
+        "a_closed",
+        "binomial",
+        "double_factorial",
+        "explicit_T",
+        "falling_factorial",
+        "family_poly",
+        "family_polys",
+        "gf_expand",
+        "ode_residual",
+        "run_suite",
+        "triangle_recurrence",
+        "verify_U_from_Legendre",
+        "verify_cor3",
+        "verify_cor4_reconstructed",
+        "verify_defining_relation",
+        "verify_intro_U_from_T",
+        "verify_thm2",
+        "verify_thm5",
+        "verify_thm6",
+        "verify_thm7",
+        "x_minus_t_inverse_pow",
+        "x_minus_t_pow",
+    ]
+
+
 def _readme_block(heading: str, lang: str) -> str:
     section = README.read_text(encoding="utf-8").split(f"## {heading}\n", 1)[1]
     match = re.search(rf"```{lang}\n(.*?)```", section, re.DOTALL)

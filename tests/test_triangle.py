@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from chebident import triangle
+from chebident import _backend, triangle
 from chebident.exact import double_factorial, falling_factorial
 from chebident.families import explicit_T
 from chebident.laurent import LaurentPoly
@@ -201,6 +201,17 @@ class TestDefiningRelation:
             D = denominator_series(order)
             assert D.pow(N + 1).inverse() == D.inverse().pow(N + 1)
 
+    def test_runs_no_product(self, monkeypatch):
+        # Every coefficient is a combination of monomial taps: neither
+        # the x-convolution nor the series product may run.
+        def forbidden(*args):
+            raise AssertionError("the defining relation ran a product")
+
+        monkeypatch.setattr(_backend, "iadd_mul", forbidden)
+        monkeypatch.setattr(_backend, "cauchy_mul", forbidden)
+        for N in range(1, 9):
+            assert verify_defining_relation(N, 80).passed
+
     def test_perturbed_row_fails(self, monkeypatch):
         rows = triangle._rows_up_to(3)
         bad = rows[:2] + [(rows[2][0], rows[2][1] + 1, rows[2][2])]
@@ -217,7 +228,7 @@ class TestSeriesRouteAgreement:
             assert verify_defining_relation(N, order).passed
             assert defining_relation_series(N, order) == (True, LaurentPoly.zero())
 
-    @pytest.mark.parametrize("N", range(1, 7))
+    @pytest.mark.parametrize("N", range(1, 9))
     def test_perturbed_rows_fail_with_equal_residuals(self, N, monkeypatch):
         rows = triangle._rows_up_to(N)
         for i, delta, order in product(range(N), (1, -3), (3 * N, 3 * N + 5, 40)):
