@@ -24,12 +24,7 @@ from chebident.families import (
 )
 from chebident.laurent import LaurentPoly
 from chebident.report import ReportEntry, VerificationReport
-from chebident.series import (
-    TruncatedSeries,
-    gf_expand,
-    x_minus_t_inverse_pow,
-    x_minus_t_pow,
-)
+from chebident.series import TruncatedSeries, gf_expand
 from chebident.triangle import (
     Triangle,
     a1_closed,
@@ -82,6 +77,4 @@ __all__ = [
     "verify_thm5",
     "verify_thm6",
     "verify_thm7",
-    "x_minus_t_inverse_pow",
-    "x_minus_t_pow",
 ]

@@ -1,15 +1,16 @@
 """Hot arithmetic kernels on term maps.
 
 A Laurent polynomial is represented by a dict mapping integer exponents to
-nonzero exact coefficients (int or Fraction).  A truncated series is a
-list of such dicts indexed by the power of t.  These are the package's
-only kernels and carry essentially all of its runtime.  `laurent` and
-`series` call them through this module's attributes, so a profiler can
-wrap them here; the module keeps its name for that reason.
+nonzero exact coefficients (int or Fraction).  These are the package's
+only kernels and carry essentially all of its runtime.  `laurent` calls
+them through this module's attributes, so a profiler can wrap them here;
+the module keeps its name for that reason.
 
-The x-convolution is written once, as the in-place `iadd_mul`; every
-product (`mul_terms`, `cauchy_mul`, and the series inverse and square
-root) accumulates through it.  Subtraction is addition of the negation.
+The x-convolution is written once, as the in-place `iadd_mul`, which
+`mul_terms` (the `LaurentPoly` product) accumulates through.
+`LaurentPoly.combination`, a weighted sum of shifted polynomials,
+accumulates through `iadd_scaled_shifted`.  Subtraction is addition of the
+negation.
 
 Returned dicts are always canonical (no zero coefficients) except for the
 in-place `iadd_scaled_shifted` and `iadd_mul`, whose accumulator the
@@ -75,18 +76,3 @@ def iadd_mul(acc, a, b):
 def prune_zeros(d):
     """Drop zero coefficients, restoring canonical form."""
     return {e: v for e, v in d.items() if v}
-
-
-def cauchy_mul(a, b, order):
-    """Cauchy product of two coefficient lists, truncated at ``order``.
-
-    out[m] = sum_{j=0..m} a[j] * b[m-j], each entry a term map.
-    """
-    out = []
-    for m in range(order + 1):
-        acc = {}
-        for j in range(m + 1):
-            if a[j] and b[m - j]:
-                iadd_mul(acc, a[j], b[m - j])
-        out.append(prune_zeros(acc))
-    return out

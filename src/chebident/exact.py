@@ -10,6 +10,7 @@ integer; Python promotes mixed int/Fraction arithmetic exactly.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 __all__ = ["binomial", "double_factorial", "falling_factorial"]
 
@@ -55,8 +56,11 @@ def double_factorial(m: int) -> int:
 def falling_factorial(x, k: int):
     """Falling factorial (x)_k = x(x-1)...(x-k+1), with (x)_0 = 1.
 
-    ``x`` may be an int or a Fraction; the product is exact either way.
+    ``x`` must be an int or a Fraction, so the product is exact; a bool,
+    a float or any other type raises TypeError.
     """
+    if not isinstance(x, (int, Fraction)) or isinstance(x, bool):
+        raise TypeError(f"x must be an int or a Fraction, got {type(x).__name__}")
     _require_int("k", k)
     if k < 0:
         raise ValueError(f"falling_factorial: negative order {k}")

@@ -240,6 +240,8 @@ class LaurentPoly:
             else:
                 num = int(m.group("num"))
                 den = int(m.group("den")) if m.group("den") else 1
+                if den == 0:
+                    raise ValueError(f"zero denominator in term {chunk.strip()!r}")
                 if m.group("xa") is not None:
                     exp = int(m.group("ea")) if m.group("ea") else 1
                 else:

@@ -1,23 +1,22 @@
-"""Truncated formal power series in t with Laurent-polynomial coefficients.
+"""The series oracle: generating functions expanded as truncated series in t.
 
-This is the oracle machinery: every generating function is expanded here
-independently of the recurrence route in `chebident.families`, and the
-two are required to agree coefficient by coefficient.  `gf_expand` reads
-no family rows and does not run their three-term recurrence.  It writes
-every order-alpha generating function as one formula,
-q(t)^alpha (1 - 2xt + t^2)^(-alpha/h), from its own table of numerators q
-and divisors h (h = 2 for Legendre, 1 otherwise).  The denominator factor
-comes from the explicit Gegenbauer sum (the binomial series in t(2x - t)),
-over integers, for integer and half-integer lambda alike; it is built once
-per (2 lambda, order) and shared by every kind with that lambda.  The
-numerator q(t)^alpha has at most d alpha + 1 scalar coefficients (d =
-deg q), so it is applied as that many taps on the factor's rows, not as a
-series product; for q = 1 the factor is the expansion.
+Every generating function is expanded here independently of the
+recurrence route in `chebident.families`, and the two are required to
+agree coefficient by coefficient.  `gf_expand` reads no family rows and
+does not run their three-term recurrence.  It writes every order-alpha
+generating function as one formula, q(t)^alpha (1 - 2xt + t^2)^(-alpha/h),
+from its own table of numerators q and divisors h (h = 2 for Legendre, 1
+otherwise).  The denominator factor comes from the explicit Gegenbauer sum
+(the binomial series in t(2x - t)), over integers, for integer and
+half-integer lambda alike; it is built once per (2 lambda, order) and
+shared by every kind with that lambda.  The numerator q(t)^alpha has at
+most d alpha + 1 scalar coefficients (d = deg q), so it is applied as that
+many taps on the factor's rows, not as a series product; for q = 1 the
+factor is the expansion.
 
-A series carries its truncation order explicitly.  Arithmetic between two
-series truncates to the shorter operand (verification drivers naturally
-produce staggered orders after differentiation), and all coefficient
-arithmetic is exact.
+`TruncatedSeries` is the read-only result: the coefficients of t^0 ..
+t^order as exact Laurent polynomials in x.  It has no arithmetic; callers
+read rows and combine them with `LaurentPoly.combination`.
 """
 
 from __future__ import annotations
@@ -25,18 +24,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from chebident import _backend as _k
 from chebident.exact import _require_int, binomial
 from chebident.families import Family
 from chebident.laurent import LaurentPoly
 
-__all__ = [
-    "TruncatedSeries",
-    "denominator_series",
-    "gf_expand",
-    "x_minus_t_inverse_pow",
-    "x_minus_t_pow",
-]
+__all__ = ["TruncatedSeries", "gf_expand"]
 
 
 def _as_poly(value) -> LaurentPoly:
@@ -71,14 +63,6 @@ class TruncatedSeries:
         s._coeffs = coeffs
         return s
 
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([], order)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls([LaurentPoly.one()], order)
-
     @property
     def order(self) -> int:
         return len(self._coeffs) - 1
@@ -102,124 +86,6 @@ class TruncatedSeries:
             raise ValueError(f"cannot extend a series from order {self.order} to {order}")
         return TruncatedSeries._raw(self._coeffs[: order + 1])
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self._coeffs)
-
-    # -- arithmetic (all truncating to the shorter operand) ------------------
-
-    def __add__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        order = min(self.order, other.order)
-        return TruncatedSeries._raw(
-            tuple(
-                LaurentPoly._raw(_k.add_terms(a._terms, b._terms))
-                for a, b in zip(self._coeffs, other._coeffs)
-            )[: order + 1]
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self + -other
-
-    def __neg__(self):
-        return TruncatedSeries._raw(tuple(-c for c in self._coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            order = min(self.order, other.order)
-            raw = _k.cauchy_mul(
-                [c._terms for c in self._coeffs],
-                [c._terms for c in other._coeffs],
-                order,
-            )
-            return TruncatedSeries._raw(tuple(LaurentPoly._raw(d) for d in raw))
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, factor) -> "TruncatedSeries":
-        """Multiply every coefficient by a scalar or a fixed polynomial."""
-        factor = _as_poly(factor)
-        return TruncatedSeries._raw(tuple(c * factor for c in self._coeffs))
-
-    def pow(self, k: int) -> "TruncatedSeries":
-        """k-fold product (k >= 1), truncated at this series' order."""
-        _require_int("k", k)
-        if k < 1:
-            raise ValueError(f"series power must be >= 1, got {k}")
-        result = self
-        base = self
-        k -= 1
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
-    __pow__ = pow
-
-    def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse via the standard coefficient recurrence.
-
-        Requires the constant term (in t) to be a nonzero constant in x:
-        b_0 = 1/a_0 and b_m = -(1/a_0) sum_{j=1..m} a_j b_{m-j}.
-        """
-        a0 = self._coeffs[0]
-        if a0._terms.keys() != {0}:
-            raise ValueError(
-                "series is not invertible: constant coefficient must be a nonzero constant"
-            )
-        inv0 = Fraction(1) / a0.coefficient(0)
-        if inv0.denominator == 1:
-            inv0 = int(inv0)  # keep integer-only series integer-typed
-        neg = [_k.scale_terms(c._terms, -inv0) for c in self._coeffs]
-        out = [{0: inv0}]
-        for m in range(1, self.order + 1):
-            acc: dict = {}
-            for j in range(1, m + 1):
-                if neg[j]:
-                    _k.iadd_mul(acc, neg[j], out[m - j])
-            out.append(_k.prune_zeros(acc))
-        return TruncatedSeries._raw(tuple(LaurentPoly._raw(d) for d in out))
-
-    def sqrt(self) -> "TruncatedSeries":
-        """The square root r with r_0 = 1 of a series s with constant term 1.
-
-        From r^2 = s: r_m = (s_m - sum_{j=1..m-1} r_j r_{m-j}) / 2.  The
-        recurrence runs on R_m = 4^m r_m, the root of s(4t) = 1 + 4u, which
-        is integral wherever s is (sqrt(1 + 4u) has integer coefficients),
-        so an integer series divides into Fractions only at the end.
-        """
-        if self._coeffs[0]._terms != {0: 1}:
-            raise ValueError("series square root needs constant coefficient 1")
-        out, neg = [{0: 1}], [None]
-        for m in range(1, self.order + 1):
-            acc = _k.scale_terms(self._coeffs[m]._terms, 4**m)
-            for j in range(1, m):
-                _k.iadd_mul(acc, neg[j], out[m - j])
-            out.append(LaurentPoly(_k.scale_terms(acc, Fraction(1, 2)))._terms)
-            neg.append(_k.scale_terms(out[m], -1))
-        return TruncatedSeries._raw(
-            tuple(LaurentPoly(_k.scale_terms(d, Fraction(1, 4**m))) for m, d in enumerate(out))
-        )
-
-    def derivative_t(self) -> "TruncatedSeries":
-        """d/dt: coefficient m of the result is (m+1) * coefficient m+1; order drops by 1."""
-        if self.order < 1:
-            raise ValueError("cannot differentiate a series of order 0")
-        return TruncatedSeries._raw(
-            tuple((m + 1) * self._coeffs[m + 1] for m in range(self.order))
-        )
-
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -241,14 +107,6 @@ _GF = {
     Family.T_GF: ((1, 0, -1), 1),
     Family.LEGENDRE: ((1,), 2),
 }
-
-
-def denominator_series(order: int) -> TruncatedSeries:
-    """The common denominator 1 - 2xt + t^2 as a series in t."""
-    _require_int("order", order)
-    return TruncatedSeries(
-        [LaurentPoly.one(), LaurentPoly.x_power(1, -2), LaurentPoly.one()], order
-    )
 
 
 @lru_cache(maxsize=None)
@@ -324,35 +182,4 @@ def gf_expand(kind, alpha: int, order: int) -> TruncatedSeries:
             LaurentPoly.combination((c, 0, rows[m - j]) for j, c in enumerate(taps[: m + 1]))
             for m in range(order + 1)
         )
-    )
-
-
-def x_minus_t_inverse_pow(k: int, order: int) -> TruncatedSeries:
-    """(x - t)^(-k) for k >= 1: coefficient of t^m is C(k-1+m, m) x^(-k-m)."""
-    _require_int("k", k)
-    _require_int("order", order)
-    if k < 1:
-        raise ValueError(f"inverse power must be >= 1, got {k}")
-    if order < 0:
-        raise ValueError(f"series order must be >= 0, got {order}")
-    return TruncatedSeries._raw(
-        tuple(
-            LaurentPoly.x_power(-k - m, binomial(k - 1 + m, m))
-            for m in range(order + 1)
-        )
-    )
-
-
-def x_minus_t_pow(k: int, order: int) -> TruncatedSeries:
-    """(x - t)^k for k >= 0, exactly: coefficient of t^j is C(k, j) (-1)^j x^(k-j)."""
-    _require_int("k", k)
-    _require_int("order", order)
-    if k < 0:
-        raise ValueError(f"power must be >= 0, got {k}")
-    return TruncatedSeries(
-        [
-            LaurentPoly.x_power(k - j, (-1) ** j * binomial(k, j))
-            for j in range(min(k, order) + 1)
-        ],
-        order,
     )

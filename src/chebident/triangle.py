@@ -11,10 +11,15 @@ obey the recurrence
     a_i(N+1)     = a_{i-1}(N) + (2N-i) a_i(N)      (2 <= i <= N)
     a_{N+1}(N+1) = a_N(N)
 
-seeded by a_1(1) = 1.  The recurrence is normative here; the closed forms
-(`a1_closed`, `a_closed`) are independent cross-checks, and
-`verify_defining_relation` certifies the defining relation itself.  With
-D = 1 - 2xt + t^2, multiplying the relation by (x-t)^(2N) D^(N+1) clears
+seeded by a_1(1) = 1.  In one term,
+
+    a_i(N) = C(2N-i-1, i-1) (2N-2i-1)!! = (n+k)! / (2^k (n-k)! k!)
+
+with n = N-1 and k = N-i: the coefficient triangle of the Bessel
+polynomials (Grosswald, Bessel Polynomials, LNM 698; OEIS A001498).  The
+recurrence is normative here; the closed forms (`a1_closed`, `a_closed`)
+are independent cross-checks, and `verify_defining_relation` certifies
+the defining relation itself.  With D = 1 - 2xt + t^2, multiplying the relation by (x-t)^(2N) D^(N+1) clears
 every denominator and leaves a polynomial identity in t of degree <= 2N.
 Both of its sides are built as exact t-polynomials (lists of Laurent
 x-coefficients indexed by t-power, never truncated), and every coefficient

@@ -94,6 +94,14 @@ class TestFallingFactorial:
         with pytest.raises(TypeError, match="k must be an int"):
             falling_factorial(5, k)
 
+    @pytest.mark.parametrize("x", [2.5, 2.0, True, False, "a", None], ids=repr)
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_rejects_inexact_or_non_numeric_base(self, x, k):
+        # 2.5 would give the float 3.75, True would run as 1, and "a" would
+        # return 1 at k = 0 without ever being multiplied.
+        with pytest.raises(TypeError, match="x must be an int or a Fraction"):
+            falling_factorial(x, k)
+
     @given(rationals, st.integers(0, 10), st.integers(0, 10))
     def test_additivity(self, x, j, k):
         # (x)_{j+k} = (x)_j * (x-j)_k

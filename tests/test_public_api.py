@@ -70,8 +70,6 @@ def test_package_all_is_pinned():
         "verify_thm5",
         "verify_thm6",
         "verify_thm7",
-        "x_minus_t_inverse_pow",
-        "x_minus_t_pow",
     ]
 
 
