@@ -23,7 +23,7 @@ import sys
 from chebident.families import Family, FamilySpec, family_poly
 from chebident.report import VerificationReport
 from chebident.triangle import triangle_recurrence, verify_defining_relation
-from chebident.verify import IdentityId, _select, run_suite
+from chebident.verify import IdentityId, run_suite
 
 _FORMATS = ["pretty", "json", "csv"]
 
@@ -150,10 +150,9 @@ def _cmd_verify(args, parser) -> int:
     else:
         identities = [IdentityId(args.identity)]
     try:
-        _select(identities, args.n_max, args.N_max)
+        report = run_suite(identities, args.n_max, args.N_max, args.first_kind)
     except ValueError as exc:
         parser.error(str(exc))
-    report = run_suite(identities, args.n_max, args.N_max, args.first_kind)
     _emit(report.render(args.format, timings=args.timings), args.output)
     return 0 if report.all_passed else 1
 

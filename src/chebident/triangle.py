@@ -18,17 +18,26 @@ seeded by a_1(1) = 1.  In one term,
 with n = N-1 and k = N-i: the coefficient triangle of the Bessel
 polynomials (Grosswald, Bessel Polynomials, LNM 698; OEIS A001498).  The
 recurrence is normative here; the closed forms (`a1_closed`, `a_closed`)
-are independent cross-checks, and `verify_defining_relation` certifies
-the defining relation itself.  With D = 1 - 2xt + t^2, multiplying the relation by (x-t)^(2N) D^(N+1) clears
-every denominator and leaves a polynomial identity in t of degree <= 2N.
-Both of its sides are built as exact t-polynomials (lists of Laurent
-x-coefficients indexed by t-power, never truncated), and every coefficient
-is one weighted sum of x-shifted coefficients of the previous step: D,
-x - t and d/dt act as a few monomial taps each, so no series and no
-polynomial product runs.  A PASS therefore proves the relation for all
-t-orders.  The `order` argument names the t-series comparison the
-certificate stands for and must be >= 3N, the order at which that
-comparison would reach t^(2N).
+are independent cross-checks.
+
+With D = 1 - 2xt + t^2, u = x - t and F^(i) = P_i / D^(i+1), where P_0 = 1
+and P_{i+1} = P_i' D + 2(i+1) u P_i (' = d/dt), multiplying the relation by
+u^(2N) D^(N+1) leaves the polynomial identity E_N = 0 in t, of degree <= 2N:
+
+    E_N = 2^N N! u^(2N) - sum_{i=1..N} a_i(N) u^i P_i D^(N-i).
+
+`verify_defining_relation` certifies it for one N.  It holds for every N by
+induction.  The series difference E_N u^(-2N) D^(-N-1), differentiated in t
+and divided by u, is the next one, so
+
+    E_{N+1} = [u D d/dt + 2N D + 2(N+1) u^2] E_N.
+
+That operator maps 2^N N! u^(2N) to 2^(N+1) (N+1)! u^(2N+2), and
+u^j P_j D^(N-j) to (2N-j) u^j P_j D^(N+1-j) + u^(j+1) P_{j+1} D^(N-j),
+which is the triangle recurrence; and E_1 = 2u^2 - u P_1 = 0.
+tests/test_sympy_oracle.py proves both steps with N, j and lambda symbolic,
+for D^(-lambda-N), (lambda)_N and 2(lambda+j) in place of D^(-1-N), N! and
+2(j+1).
 
 Entries grow superexponentially (a_1(13) = 23!! > 3*10^11), hence exact
 big integers throughout.
@@ -38,14 +47,12 @@ from __future__ import annotations
 
 import math
 import threading
-import time
 from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 
 from chebident.exact import _require_int, double_factorial, falling_factorial
 from chebident.laurent import LaurentPoly
-from chebident.report import ReportEntry
 
 __all__ = [
     "Triangle",
@@ -168,51 +175,22 @@ def _taps(seq, m, taps):
 _D_TAPS = ((1, 0, 0), (-2, 1, 1), (1, 0, 2))
 
 
-def verify_defining_relation(N: int, order: int) -> ReportEntry:
-    """Certify 2^N N! F^(N+1) = sum_i a_i(N) (x-t)^(i-2N) F^(i) for all t-orders.
+def _sides_defining_relation(N: int, order: int):
+    """The two sides of E_N = 0 (see the module docstring) as (L', R', 1).
 
-    With D = 1 - 2xt + t^2 and F^(i) = P_i / D^(i+1), where P_0 = 1 and
-    P_i = P_{i-1}' D + 2i (x-t) P_{i-1} (D' = -2(x-t)), multiplying
-    through by (x-t)^(2N) D^(N+1) clears every denominator.  What remains
-    is the polynomial identity
-
-        2^N N! (x-t)^(2N) = sum_{i=1..N} a_i(N) (x-t)^i P_i D^(N-i)
-
-    in t, of degree <= 2N.  Both sides are built as exact t-polynomials,
-    lists of x-coefficients indexed by t-power, with nothing truncated:
-    deg_t P_i <= i, and the right side, summed by Horner in D, has
-    deg_t <= 2i after step i.  Every coefficient is one
+    L' and R' are exact t-polynomials, lists of x-coefficients indexed by
+    t-power, with nothing truncated: deg_t P_i <= i, and R', summed by
+    Horner in D, has deg_t <= 2i after step i.  Every coefficient is one
     `LaurentPoly.combination` of monomial taps, so no series and no
     polynomial product runs:
 
-        P_i[m]   = (m+1) P_{i-1}[m+1] + 2(i-m) x P_{i-1}[m]
-                   + (m-1-2i) P_{i-1}[m-1]
-        rhs_i[m] = rhs_{i-1}[m] - 2x rhs_{i-1}[m-1] + rhs_{i-1}[m-2]
-                   + sum_j a_i(N) C(i,j) (-1)^j x^(i-j) P_i[m-j]
-        lhs[m]   = 2^N N! C(2N,m) (-1)^m x^(2N-m)
-
-    A PASS is lhs == rhs coefficient by coefficient, and proves the
-    relation for all t-orders.  ``order`` is the t-order of the series
-    comparison this certificate stands for (differentiating i times costs
-    i orders, so that comparison reaches t^(order-N)).  The series
-    difference is the polynomial difference times D^(-N-1), whose
-    constant term is 1, so both have the same lowest nonzero coefficient,
-    at some t^k with k <= 2N.  ``order`` must be >= 3N, so that
-    k <= order - N; a smaller order raises ValueError.  Failure is
-    reported, not raised; the residual recorded on failure is that lowest
-    nonzero coefficient, lhs[k] - rhs[k].
+        P_i[m] = (m+1) P_{i-1}[m+1] + 2(i-m) x P_{i-1}[m] + (m-1-2i) P_{i-1}[m-1]
+        R'_i[m] = R'_{i-1}[m] - 2x R'_{i-1}[m-1] + R'_{i-1}[m-2]
+                  + sum_j a_i(N) C(i,j) (-1)^j x^(i-j) P_i[m-j]
+        L'[m] = 2^N N! C(2N,m) (-1)^m x^(2N-m)
     """
-    _require_int("N", N)
-    _require_int("order", order)
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if order < 3 * N:
-        raise ValueError(f"series order {order} must be at least 3N={3 * N}")
-    start = time.perf_counter()
-
-    one = LaurentPoly.one()
     row = _rows_up_to(N)[N - 1]
-    P = [one]
+    P = [LaurentPoly.one()]
     rhs: list = []
     for i in range(1, N + 1):
         P = [
@@ -227,22 +205,26 @@ def verify_defining_relation(N: int, order: int) -> ReportEntry:
             LaurentPoly.combination(chain(_taps(rhs, m, _D_TAPS), _taps(P, m, x_t)))
             for m in range(2 * i + 1)
         ]
-
     scale = 2**N * math.factorial(N)
-    residual = LaurentPoly.zero()
-    for m, r in enumerate(rhs):
-        lhs_m = (scale * math.comb(2 * N, m) * (-1) ** m, 2 * N - m, one)
-        diff = LaurentPoly.combination((lhs_m, (-1, 0, r)))
-        if diff:
-            residual = diff
-            break
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return ReportEntry(
-        identity="defining_relation",
-        n=order,
-        N=N,
-        passed=residual.is_zero(),
-        residual=residual,
-        rhs_polynomial=None,
-        elapsed_ms=elapsed_ms,
-    )
+    lhs = [
+        LaurentPoly.x_power(2 * N - m, scale * math.comb(2 * N, m) * (-1) ** m)
+        for m in range(2 * N + 1)
+    ]
+    return lhs, rhs, 1
+
+
+def verify_defining_relation(N: int, order: int):
+    """Certify 2^N N! F^(N+1) = sum_i a_i(N) (x-t)^(i-2N) F^(i) for all t-orders.
+
+    A PASS is E_N = 0 coefficient by coefficient.  ``order``, the report's
+    n, is the t-order of the series comparison this certificate stands for:
+    differentiating i times costs i orders, so it reaches t^(order-N).  The
+    series difference is E_N times D^(-N-1), whose constant term is 1, so
+    both have the same lowest nonzero coefficient, at some t^k with
+    k <= 2N.  ``order`` must be >= 3N, so that k <= order - N; a smaller
+    order raises ValueError.  Failure is reported, not raised, with that
+    lowest nonzero coefficient as the residual.
+    """
+    from chebident.verify import _certify  # verify imports this module
+
+    return _certify("defining_relation", N=N, order=order)

@@ -1,20 +1,22 @@
 """Symbolic certification of the polynomial-family identities.
 
-Every identity in the catalog is built as two exact Laurent polynomials
-with integer coefficients, L' and R', and one positive integer d: the
-left- and right-hand sides are L'/d and R'/d.  A cell passes when L' and
-R' are structurally equal, so the residual LHS - RHS = (L' - R')/d is
-literally the zero polynomial; only a failing cell builds that rational
-residual, the only rational here.  The sides are assembled from the
-integer rows of `families._rows`, read through one getter per (kind,
-order), `_base`, and one convolution, `_convolution`.  The denominators
-are
+Every identity in the catalog is built as two t-polynomials, L' and R',
+whose coefficients are exact Laurent polynomials in x with integer
+coefficients, and one positive integer d: the left- and right-hand sides
+are L'/d and R'/d.  A cell passes when L' and R' are structurally equal,
+so the residual LHS - RHS = (L' - R')/d is literally the zero polynomial;
+only a failing cell builds its lowest nonzero t-coefficient, the only
+rational here.  Every identity but the defining relation has one
+t-coefficient, assembled from the integer rows of `families._rows`, read
+through one getter per (kind, order), `_base`, and one convolution,
+`_convolution`.  The denominators are
 
   thm2, cor4, thm5, thm6   d = 2^N N!, the prefactor moved to the left
   Legendre convolutions    d = s^n over the rows r_m = s^m p_m^(a) (s = 2
                              for odd a, 1 for even a, see families)
   cor3                     d = s^n 2^N N!
   intro, thm7              d = 1
+  defining relation        d = 1 (see `triangle._sides_defining_relation`)
 
 Identity catalog (n >= 0, N >= 1, alpha >= 1; prefix sums run over
 l = 0..n unless stated):
@@ -55,10 +57,13 @@ instead, which makes the identity fail for some n >= 1 - kept available
 as a guard that the normalization matters.
 
 One table, `_CATALOG`, holds per identity its side builder, its grid and
-whether its right-hand side is checked for being a true polynomial.  Every
-public `verify_*` entry point is a call into one driver, `_certify`, which
-validates the arguments, builds and compares the sides and times the cell;
-`run_suite` and `suite_cells` read the same table.
+whether its right-hand side is checked for being a true polynomial.  Its
+last row, "defining_relation", is the defining relation of the triangle
+a_i(N); it is no `IdentityId`, so no grid selects it.  Every public
+`verify_*` entry point, `triangle.verify_defining_relation` included, is a
+call into one driver, `_certify`, which validates the arguments, builds
+and compares the sides and times the cell; `run_suite` and `suite_cells`
+read the same table.
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ from chebident.exact import _require_int, binomial
 from chebident.families import Family, _divide_exact, _rows, _scale
 from chebident.laurent import LaurentPoly
 from chebident.report import ReportEntry, VerificationReport
-from chebident.triangle import triangle_recurrence
+from chebident.triangle import _sides_defining_relation, triangle_recurrence
 
 __all__ = [
     "IdentityId",
@@ -140,12 +145,12 @@ def _legendre_selfconv(k: int) -> LaurentPoly:
 
 def _sides_intro(n: int):
     u = _base(Family.U)
-    return (n + 1) * u(n), _convolution(_base(Family.T_GF), u, n), 1
+    return [(n + 1) * u(n)], [_convolution(_base(Family.T_GF), u, n)], 1
 
 
 def _sides_legendre(n: int, alpha: int):
     p, d = _base(Family.LEGENDRE, alpha), _scale(Family.LEGENDRE, alpha) ** n
-    return d * _base(Family.U, alpha)(n), _convolution(p, p, n), d
+    return [d * _base(Family.U, alpha)(n)], [_convolution(p, p, n)], d
 
 
 @lru_cache(maxsize=None)
@@ -208,18 +213,18 @@ def _thm2_denominator(N: int) -> int:
 
 def _sides_thm2(n: int, N: int):
     d = _thm2_denominator(N)
-    return d * _base(Family.U, N + 1)(n), _rhs(n, N, _base(Family.U)), d
+    return [d * _base(Family.U, N + 1)(n)], [_rhs(n, N, _base(Family.U))], d
 
 
 def _sides_cor3(n: int, N: int):
     p, d_conv = _base(Family.LEGENDRE, N + 1), _scale(Family.LEGENDRE, N + 1) ** n
     d = _thm2_denominator(N)
-    return d * _convolution(p, p, n), d_conv * _rhs(n, N, _base(Family.U)), d_conv * d
+    return [d * _convolution(p, p, n)], [d_conv * _rhs(n, N, _base(Family.U))], d_conv * d
 
 
 def _sides_cor4(n: int, N: int):
     d = _thm2_denominator(N)
-    return d * _base(Family.U, N + 1)(n), _rhs(n, N, _legendre_selfconv), d
+    return [d * _base(Family.U, N + 1)(n)], [_rhs(n, N, _legendre_selfconv)], d
 
 
 def _sides_thm5_6(kind: Family, sign: int, n: int, N: int):
@@ -229,7 +234,7 @@ def _sides_thm5_6(kind: Family, sign: int, n: int, N: int):
     lhs = LaurentPoly.combination(
         (d * sign ** (n - l) * binomial(N + n - l, n - l), 0, higher(l)) for l in range(n + 1)
     )
-    return lhs, _rhs(n, N, _parity_sums(_base(kind), 1, sign, n + N)), d
+    return [lhs], [_rhs(n, N, _parity_sums(_base(kind), 1, sign, n + N))], d
 
 
 def _sides_thm7(n: int, N: int, first_kind: str):
@@ -240,7 +245,7 @@ def _sides_thm7(n: int, N: int, first_kind: str):
     lhs = LaurentPoly.combination(
         (scale * binomial(N + j, N), 0, higher(n - 2 * j)) for j in range(n // 2 + 1)
     )
-    return lhs, _rhs(n, N, _parity_sums(base, 2, 0, n + N)), 1
+    return [lhs], [_rhs(n, N, _parity_sums(base, 2, 0, n + N))], 1
 
 
 # -- the catalog -----------------------------------------------------------------
@@ -251,8 +256,8 @@ class _Identity(namedtuple("_Identity", "entry_point params sides fixed_N tracks
 
     ``entry_point`` names the public ``verify_*`` function and ``params``
     its names for the grid's N and for first_kind, as far as it takes them;
-    ``sides(n, **params)`` returns (L', R', d), the integer sides and their
-    denominator.  ``fixed_N`` is the grid's only N (alpha) value, or None
+    ``sides`` takes that function's arguments by name and returns (L', R', d).
+    ``fixed_N`` is the grid's only N (alpha) value, or None
     for N = 1..N_max.  ``tracks_rhs`` says whether the report records if
     the right-hand side is a true polynomial.
     """
@@ -280,45 +285,58 @@ _CATALOG = {
         "verify_thm6", ("N",), partial(_sides_thm5_6, Family.W, -1), None, True
     ),
     IdentityId.THM7: _Identity("verify_thm7", ("N", "first_kind"), _sides_thm7, None, True),
+    # Not an IdentityId: certified per N at one series order, off the grid.
+    "defining_relation": _Identity(
+        "verify_defining_relation", ("N",), _sides_defining_relation, None, False
+    ),
 }
 
 
 # -- verification driver ---------------------------------------------------------
 
 
-def _check_args(n: int, first_kind: str = "gf", **orders: int) -> None:
+def _check_args(first_kind: str = "gf", **indices: int) -> None:
     """Reject arguments that would make a cell pass vacuously or fail late.
 
-    n < 0 and any order (N or alpha) < 1 would leave the sums empty.  A
+    ``indices`` go by their entry point's names.  N and alpha below 1 and
+    any other index (n, order, a grid bound) below 0 would leave the sums
+    empty, and an order below 3N would not prove the defining relation.  A
     bool or non-int index is a TypeError: True would certify as n = 1 and
     report "n": true.
     """
     if first_kind not in ("gf", "classical"):
         raise ValueError(f"first_kind must be 'gf' or 'classical', got {first_kind!r}")
-    for name, value, least in (("n", n, 0), *((k, v, 1) for k, v in orders.items())):
+    for name, value in indices.items():
         _require_int(name, value)
+        least = int(name in ("N", "alpha"))
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
+    order, N = indices.get("order"), indices.get("N")
+    if order is not None and order < 3 * N:
+        raise ValueError(f"series order {order} must be at least 3N={3 * N}")
 
 
-def _certify(identity: IdentityId, n: int, **params) -> ReportEntry:
+def _certify(identity: str, **params) -> ReportEntry:
     """Certify one cell of ``identity``: validate, build both sides, compare, time.
 
-    ``params`` are the entry point's own arguments (N or alpha, first_kind).
-    The report's N column holds alpha for the Legendre convolutions and 0
-    for the introductory identity.
+    ``params`` are the entry point's own arguments by name.  The report's
+    n column holds the series order for the defining relation, and its N
+    column alpha for the Legendre convolutions and 0 for the introductory
+    identity.
     """
-    _check_args(n, **params)
+    _check_args(**params)
     row = _CATALOG[identity]
     start = time.perf_counter()
-    lhs, rhs, d = row.sides(n, **params)
-    rhs_polynomial = rhs.is_polynomial() if row.tracks_rhs else None
+    lhs, rhs, d = row.sides(**params)
+    rhs_polynomial = all(map(LaurentPoly.is_polynomial, rhs)) if row.tracks_rhs else None
     passed = lhs == rhs
-    # Only a failure pays for the rationals: its residual is (L' - R')/d.
-    residual = LaurentPoly.zero() if passed else LaurentPoly(((lhs - rhs) / d).terms)
+    # Only a failure pays for the rationals: its residual is the lowest
+    # nonzero t-coefficient of (L' - R')/d.
+    diffs = (LaurentPoly(((l - r) / d).terms) for l, r in zip(lhs, rhs) if l != r)
+    residual = LaurentPoly.zero() if passed else next(diffs)
     return ReportEntry(
-        identity=identity.value,
-        n=n,
+        identity=identity,
+        n=params.get("n", params.get("order")),
         N=params.get("N", params.get("alpha", 0)),
         passed=passed,
         residual=residual,
@@ -328,47 +346,39 @@ def _certify(identity: IdentityId, n: int, **params) -> ReportEntry:
 
 
 def verify_intro_U_from_T(n: int) -> ReportEntry:
-    return _certify(IdentityId.INTRO_U_FROM_T, n)
+    return _certify("intro_U_from_T", n=n)
 
 
 def verify_U_from_Legendre(n: int, alpha: int = 1) -> ReportEntry:
-    identity = IdentityId.U_FROM_LEGENDRE if alpha == 1 else IdentityId.UALPHA_FROM_LEGENDRE
-    return _certify(identity, n, alpha=alpha)
+    identity = "U_from_Legendre" if alpha == 1 else "Ualpha_from_Legendre"
+    return _certify(identity, n=n, alpha=alpha)
 
 
 def verify_thm2(n: int, N: int) -> ReportEntry:
-    return _certify(IdentityId.THM2, n, N=N)
+    return _certify("thm2", n=n, N=N)
 
 
 def verify_cor3(n: int, N: int) -> ReportEntry:
-    return _certify(IdentityId.COR3, n, N=N)
+    return _certify("cor3", n=n, N=N)
 
 
 def verify_cor4_reconstructed(n: int, N: int) -> ReportEntry:
-    return _certify(IdentityId.COR4_RECONSTRUCTED, n, N=N)
+    return _certify("cor4_reconstructed", n=n, N=N)
 
 
 def verify_thm5(n: int, N: int) -> ReportEntry:
-    return _certify(IdentityId.THM5, n, N=N)
+    return _certify("thm5", n=n, N=N)
 
 
 def verify_thm6(n: int, N: int) -> ReportEntry:
-    return _certify(IdentityId.THM6, n, N=N)
+    return _certify("thm6", n=n, N=N)
 
 
 def verify_thm7(n: int, N: int, first_kind: str = "gf") -> ReportEntry:
-    return _certify(IdentityId.THM7, n, N=N, first_kind=first_kind)
+    return _certify("thm7", n=n, N=N, first_kind=first_kind)
 
 
 # -- suite runner -----------------------------------------------------------------
-
-
-def _check_grid(n_max: int, N_max: int) -> None:
-    """TypeError for a bool or non-int grid bound, ValueError for a negative one."""
-    _require_int("n_max", n_max)
-    _require_int("N_max", N_max)
-    if n_max < 0 or N_max < 0:
-        raise ValueError("n_max and N_max must be >= 0")
 
 
 def suite_cells(identity: IdentityId, n_max: int, N_max: int):
@@ -377,7 +387,7 @@ def suite_cells(identity: IdentityId, n_max: int, N_max: int):
     Raises TypeError for a bool or non-int bound and ValueError for a
     negative one.
     """
-    _check_grid(n_max, N_max)
+    _check_args(n_max=n_max, N_max=N_max)
     fixed = _CATALOG[IdentityId(identity)].fixed_N
     orders = range(1, N_max + 1) if fixed is None else (fixed,)
     return [(N, n) for N in orders for n in range(n_max + 1)]
@@ -391,7 +401,7 @@ def _select(identities, n_max: int, N_max: int) -> list:
     and TypeError for a bool or non-int bound or a single id (a str) in
     place of a collection of them.
     """
-    _check_grid(n_max, N_max)
+    _check_args(n_max=n_max, N_max=N_max)
     if isinstance(identities, str):
         raise TypeError(f"identities must be a collection of ids, got {identities!r}")
     wanted = {IdentityId(x) for x in identities}
@@ -416,7 +426,7 @@ def run_suite(
     introductory identity, which has no second parameter.
     """
     selected = _select(identities, n_max, N_max)
-    _check_args(n_max, first_kind)
+    _check_args(first_kind)
     report = VerificationReport()
     for identity in selected:
         row = _CATALOG[identity]

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from chebident import _backend, triangle
+from chebident import _backend, triangle, verify
 from chebident.exact import double_factorial, falling_factorial
 from chebident.families import explicit_T
 from chebident.laurent import LaurentPoly
@@ -179,10 +179,15 @@ class TestDefiningRelation:
             verify_defining_relation(4, 3)
 
     @pytest.mark.parametrize("N", [1, 2, 5, 10])
-    def test_order_below_degree_bound_rejected(self, N):
+    def test_order_below_degree_bound_rejected(self, N, monkeypatch):
         # D^(N+1) (LHS - RHS) has t-degree <= 2N; the comparison reaches
         # t^(order-N), so an order below 3N would not prove the relation.
-        with pytest.raises(ValueError, match=rf"at least 3N={3 * N}$"):
+        # It is rejected before any side is built: calling sides=None
+        # would raise TypeError instead.
+        row = verify._CATALOG["defining_relation"]
+        monkeypatch.setitem(verify._CATALOG, "defining_relation", row._replace(sides=None))
+        message = rf"^series order {3 * N - 1} must be at least 3N={3 * N}$"
+        with pytest.raises(ValueError, match=message):
             verify_defining_relation(N, 3 * N - 1)
 
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 12, 16, 24])

@@ -10,7 +10,7 @@ from chebident import verify
 from chebident.exact import binomial, falling_factorial
 from chebident.families import Family, FamilySpec, family_poly
 from chebident.laurent import LaurentPoly
-from chebident.triangle import Triangle, triangle_recurrence
+from chebident.triangle import Triangle, triangle_recurrence, verify_defining_relation
 from chebident.verify import (
     _legendre_selfconv,
     _parity_sums,
@@ -317,7 +317,7 @@ class TestVandermondeCollapse:
                     (2 ** (N + 1) * math.factorial(N) * c, 0, verify._rows(kind, N + 1, p)[p])
                     for p, c in thm7_lhs_weights_by_compositions(n, N).items()
                 )
-                assert _sides_thm7(n, N, first_kind)[0] == expected
+                assert _sides_thm7(n, N, first_kind)[0] == [expected]
 
     def test_perturbed_triangle_fails(self, monkeypatch):
         rows = triangle_recurrence(3).rows
@@ -332,7 +332,8 @@ class TestIntegerSides:
     @pytest.mark.parametrize("first_kind", ["gf", "classical"])
     def test_sides_are_fraction_free(self, monkeypatch, first_kind):
         # Every side handed to the comparison has int coefficients; the
-        # rationals live in the one denominator d.
+        # rationals live in the one denominator d.  The defining relation
+        # is a catalog row too, with d = 1.
         built = []
 
         def recording(sides):
@@ -347,10 +348,13 @@ class TestIntegerSides:
             monkeypatch.setitem(verify._CATALOG, identity, wrapped)
         report = run_suite(ALL_IDS, 8, 4, first_kind=first_kind)
         assert len(built) == len(report.entries)
+        for N in range(1, 5):
+            assert verify_defining_relation(N, 3 * N).passed
+        assert [d for _, _, d in built[len(report.entries) :]] == [1] * 4
         for lhs, rhs, d in built:
             assert type(d) is int and d > 0
             for side in (lhs, rhs):
-                assert all(type(c) is int for c in side.terms.values())
+                assert all(type(c) is int for coeff in side for c in coeff.terms.values())
 
     # sha256 of the report with the triangle's row N = 2 perturbed, recorded
     # while both sides were still assembled over rationals: (L' - R')/d must
@@ -393,9 +397,9 @@ def _vanishing_at(roots) -> LaurentPoly:
 
 
 def _set_thm2_residual(monkeypatch, residual: LaurentPoly) -> None:
-    """Give thm2 the sides (residual, 0) over the denominator 1."""
+    """Give thm2 the one-coefficient sides (residual, 0) over the denominator 1."""
     row = verify._CATALOG[IdentityId.THM2]
-    sides = lambda n, N: (residual, LaurentPoly.zero(), 1)  # noqa: E731
+    sides = lambda n, N: ([residual], [LaurentPoly.zero()], 1)  # noqa: E731
     monkeypatch.setitem(verify._CATALOG, IdentityId.THM2, row._replace(sides=sides))
 
 
@@ -444,6 +448,7 @@ class TestIndexValidation:
     ENTRY_POINTS = [
         (verify_intro_U_from_T, ("n",)),
         (verify_U_from_Legendre, ("n", "alpha")),
+        (verify_defining_relation, ("N", "order")),
     ] + [
         (check, ("n", "N"))
         for check in (
