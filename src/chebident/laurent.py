@@ -29,6 +29,11 @@ def _as_coeff(c):
     raise TypeError(f"coefficients must be int or Fraction, got {type(c).__name__}")
 
 
+def _is_scalar(c) -> bool:
+    """Whether c is an int or Fraction scalar; a bool is not (True * p would be p)."""
+    return isinstance(c, (int, Fraction)) and not isinstance(c, bool)
+
+
 _TERM_RE = re.compile(
     r"""^(?:
         (?P<num>\d+)(?:/(?P<den>\d+))?(?:\*(?P<xa>x(?:\^(?P<ea>-?\d+))?))?
@@ -132,17 +137,17 @@ class LaurentPoly:
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
             return LaurentPoly._raw(_k.mul_terms(self._terms, other._terms))
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int or _is_scalar(other):
             return LaurentPoly._raw(_k.scale_terms(self._terms, other))
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int or _is_scalar(other):
             return LaurentPoly._raw(_k.scale_terms(self._terms, other))
         return NotImplemented
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             if other == 0:
                 raise ZeroDivisionError("division of a polynomial by zero")
             return LaurentPoly._raw(_k.scale_terms(self._terms, Fraction(1) / other))

@@ -9,7 +9,6 @@ so a sub-millisecond cell does not read 0.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from collections import namedtuple
@@ -108,6 +107,8 @@ class VerificationReport:
         return json.dumps(rows, separators=(",", ":")) + "\n"
 
     def render_csv(self, timings: bool = False) -> str:
+        import csv  # only this format needs it; keeps it off the CLI's import path
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["identity", "n", "N", "pass", "residual", "ms"])

@@ -7,9 +7,9 @@ are L'/d and R'/d.  A cell passes when L' and R' are structurally equal,
 so the residual LHS - RHS = (L' - R')/d is literally the zero polynomial;
 only a failing cell builds its lowest nonzero t-coefficient, the only
 rational here.  Every identity but the defining relation has one
-t-coefficient, assembled from the integer rows of `families._rows`, read
-through one getter per (kind, order), `_base`, and one convolution,
-`_convolution`.  The denominators are
+t-coefficient, assembled from the integer rows of `families._rows`, whose
+append-only list per (kind, order) a cell fetches once and reads by index,
+and one convolution, `_convolution`.  The denominators are
 
   thm2, cor4, thm5, thm6   d = 2^N N!, the prefactor moved to the left
   Legendre convolutions    d = s^n over the rows r_m = s^m p_m^(a) (s = 2
@@ -45,9 +45,19 @@ n-m-k+i does not depend on l, so Chu-Vandermonde,
 sum_l C(k, l) C(c, i-l) = C(n-m+i, i), sums the l-loop.  What is left
 is thm2's sum, `_rhs`, applied to the parity running sum
 k -> even E_k + odd E_{k-1} of the base row, with E_k = base(k) + E_{k-2}:
-the series form of (1 -/+ t)^(-1) G = F.  The integer weights of `_rhs`
-depend only on n and the triangle row, and the running sums only on the
-base row and the weights, so both are built once and shared by the cells.
+the series form of (1 -/+ t)^(-1) G = F.  For V at (1, 1), W at (1, -1)
+and T~ at (1, 0) these running sums are U's rows, and so are cor4's
+Legendre self-convolutions (sum_j p_j p_{k-j} = U_k); thm7's (2, 0) sums
+are twice the (1, 0) ones and `_rhs` is linear.  So all of these right
+sides are thm2's sum.  `_rows_or_U` compares each row of such a base with
+U's once, structurally, and hands `_rhs` U's own row list only when every
+row a cell reads is equal; over U's rows `_rhs` builds the sum once per
+(n, triangle row) and keeps it, so thm2, cor3, cor4, thm5, thm6 and thm7
+share one sum per (n, N).  A base with a differing row (classical T in
+thm7, or a perturbed row) is summed over its own rows, so no verdict
+rests on the identities that justify the sharing.  The integer weights
+of `_rhs` are built once per (n, triangle row), and each Legendre
+self-convolution once per (alpha, n).
 thm7's left-hand weights collapse the same way, because
 (1-t)^(-N-1) (1+t)^(-N-1) = (1-t^2)^(-N-1).
 
@@ -75,7 +85,7 @@ from collections import namedtuple
 from enum import Enum
 from functools import lru_cache, partial
 
-from chebident.exact import _require_int, binomial
+from chebident.exact import _require_int
 from chebident.families import Family, _divide_exact, _rows, _scale
 from chebident.laurent import LaurentPoly
 from chebident.report import ReportEntry, VerificationReport
@@ -108,102 +118,131 @@ class IdentityId(str, Enum):
     THM7 = "thm7"
 
 
-@lru_cache(maxsize=None)
-def _base(kind: Family, alpha: int = 1):
-    """The map m -> row m of ``_rows(kind, alpha)``: the order-``alpha`` member
-    of family ``kind`` times s^m (see `families._scale`), one per (kind, alpha)."""
-    return lambda m: _rows(kind, alpha, m)[m]
-
-
-def _convolution(f, g, n: int) -> LaurentPoly:
-    """sum_{l=0..n} f(l) g(n-l).
+def _convolution(f: list, g: list, n: int) -> LaurentPoly:
+    """sum_{l=0..n} f[l] g[n-l] over two row lists.
 
     When f is g the terms l and n-l are equal, so each cross product is
     built once and doubled, and a middle square (even n) is added once.
     """
     if f is not g:
-        return sum((f(l) * g(n - l) for l in range(n + 1)), LaurentPoly.zero())
-    cross = sum((f(l) * f(n - l) for l in range((n + 1) // 2)), LaurentPoly.zero())
-    return 2 * cross + (f(n // 2) * f(n // 2) if n % 2 == 0 else LaurentPoly.zero())
+        return sum((f[l] * g[n - l] for l in range(n + 1)), LaurentPoly.zero())
+    cross = sum((f[l] * f[n - l] for l in range((n + 1) // 2)), LaurentPoly.zero())
+    return 2 * cross + (f[n // 2] * f[n // 2] if n % 2 == 0 else LaurentPoly.zero())
 
 
 @lru_cache(maxsize=None)
+def _legendre_convolution(alpha: int, n: int) -> LaurentPoly:
+    """sum_l r_l r_{n-l} over the integer Legendre rows r of order alpha,
+    built once per (alpha, n) and shared by U_from_Legendre, cor3 and cor4."""
+    p = _rows(Family.LEGENDRE, alpha, n)
+    return _convolution(p, p, n)
+
+
 def _legendre_selfconv(k: int) -> LaurentPoly:
     """sum_{j=0..k} p_j p_{k-j}; equals U_k (certified by U_from_Legendre).
 
     The rows are r_j = 2^j p_j, so their self-convolution divides by 2^k.
     """
-    r = _base(Family.LEGENDRE)
-    return _divide_exact(_convolution(r, r, k), 2**k, f"Legendre self-convolution {k}")
+    return _divide_exact(_legendre_convolution(1, k), 2**k, f"Legendre self-convolution {k}")
 
 
 # -- side builders -------------------------------------------------------------
 #
 # Each builder returns (L', R', d): integer-coefficient sides whose true
-# values are L'/d and R'/d, for a positive integer d.
+# values are L'/d and R'/d, for a positive integer d.  Rows are read by
+# index from the lists of `_rows`, fetched once per cell up to the highest
+# row the cell reads.
 
 
 def _sides_intro(n: int):
-    u = _base(Family.U)
-    return [(n + 1) * u(n)], [_convolution(_base(Family.T_GF), u, n)], 1
+    u = _rows(Family.U, 1, n)
+    return [(n + 1) * u[n]], [_convolution(_rows(Family.T_GF, 1, n), u, n)], 1
 
 
 def _sides_legendre(n: int, alpha: int):
-    p, d = _base(Family.LEGENDRE, alpha), _scale(Family.LEGENDRE, alpha) ** n
-    return [d * _base(Family.U, alpha)(n)], [_convolution(p, p, n)], d
+    d = _scale(Family.LEGENDRE, alpha) ** n
+    return [d * _rows(Family.U, alpha, n)[n]], [_legendre_convolution(alpha, n)], d
 
 
 @lru_cache(maxsize=None)
 def _rhs_weights(n: int, row: tuple) -> tuple:
-    """(k, w_k) pairs: _rhs's integer weight on x^(k-n-2N) base(k), N = len(row)."""
+    """(k, w_k) pairs: _rhs's integer weight on x^(k-n-2N) base[k], N = len(row)."""
     N = len(row)
     coef: dict = {}
     for i in range(1, N + 1):
         ai = row[i - 1] * math.factorial(i)
         for m in range(n + 1):
             k = n - m + i
-            c = ai * binomial(2 * N + m - i - 1, m) * binomial(k, i)
+            c = ai * math.comb(2 * N + m - i - 1, m) * math.comb(k, i)
             coef[k] = coef.get(k, 0) + c
     return tuple((k, c) for k, c in coef.items() if c)
 
 
-def _rhs(n: int, N: int, base) -> LaurentPoly:
+_thm2_sums: dict = {}
+
+
+def _rhs(n: int, N: int, base: list) -> LaurentPoly:
     """The right-hand side shared by thm2 through thm7, without a prefactor.
 
     sum_{i=1..N} sum_{m=0..n} a_i(N) i! C(2N+m-i-1, m) C(n-m+i, i)
-      x^{i-2N-m} base(n-m+i)
+      x^{i-2N-m} base[n-m+i]
 
     This is thm2's l-sum with m = n - l and (K)_i = i! C(K, i).  With
     k = n-m+i the power of x is k-n-2N, so the integer weights are summed
-    per k first.  The weight table depends on n and the triangle row only,
-    so it is built once per (n, row) and shared by every base.
+    per k first, once per (n, triangle row).  Over U's own row list the
+    sum is thm2's; it is built once per (n, triangle row) and kept, and
+    every cell whose base rows equal U's (see `_rows_or_U`) takes it.
     """
-    weights = _rhs_weights(n, triangle_recurrence(N).row(N))
-    return LaurentPoly.combination((c, k - n - 2 * N, base(k)) for k, c in weights)
+    row = triangle_recurrence(N).row(N)
+    shared = base is _rows(Family.U, 1, 0)
+    if shared and (n, row) in _thm2_sums:
+        return _thm2_sums[n, row]
+    rhs = LaurentPoly.combination((c, k - n - 2 * N, base[k]) for k, c in _rhs_weights(n, row))
+    # Threads that race here build equal sums; setdefault keeps the first.
+    return _thm2_sums.setdefault((n, row), rhs) if shared else rhs
 
 
-_running_sums: dict = {}
-_running_lock = threading.Lock()
+def _parity_sums(base: list, even: int, odd: int, top: int, S: list | None = None) -> list:
+    """S_k = even E_k + odd E_{k-1} for k <= top, appended to ``S`` (a new list by default).
 
-
-def _parity_sums(base, even: int, odd: int, top: int):
-    """The map k -> even E_k + odd E_{k-1} for 0 <= k <= top.
-
-    E_k = base(k) + E_{k-2} sums every other row down from k, so the map
-    weights base(j) by ``even`` when k - j is even and by ``odd`` otherwise.
-    Its values S_k = even base(k) + odd base(k-1) + S_{k-2} are kept per
-    (base, even, odd) and shared by every cell.
+    E_k = base[k] + E_{k-2} sums every other row down from k, so S_k
+    weights base[j] by ``even`` when k - j is even and by ``odd`` otherwise:
+    S_k = even base[k] + odd base[k-1] + S_{k-2}.
     """
-    with _running_lock:
-        S = _running_sums.setdefault((base, even, odd), [])
-        for k in range(len(S), top + 1):
-            terms = [(even, 0, base(k))]
-            if k >= 1:
-                terms.append((odd, 0, base(k - 1)))
-            if k >= 2:
-                terms.append((1, 0, S[k - 2]))
-            S.append(LaurentPoly.combination(terms))
-    return S.__getitem__
+    S = [] if S is None else S
+    for k in range(len(S), top + 1):
+        terms = [(even, 0, base[k])]
+        if k >= 1:
+            terms.append((odd, 0, base[k - 1]))
+        if k >= 2:
+            terms.append((1, 0, S[k - 2]))
+        S.append(LaurentPoly.combination(terms))
+    return S
+
+
+_bases: dict = {}
+_bases_lock = threading.Lock()
+
+
+def _rows_or_U(key, top: int) -> list:
+    """Rows 0..top of the base ``key`` names, or U's row list if they all equal U's.
+
+    ``key`` is (kind, even, odd) for the `_parity_sums` of family ``kind``
+    at order 1, or Family.LEGENDRE for `_legendre_selfconv`.  Each row is
+    built once and compared structurally with U's once, and both are kept
+    per key, so a cell takes thm2's shared sum from `_rhs` only when every
+    row it reads is U's, and sums its own rows otherwise.
+    """
+    U = _rows(Family.U, 1, top)
+    with _bases_lock:
+        rows, equal = _bases.setdefault(key, ([], []))
+        if key is Family.LEGENDRE:
+            rows.extend(map(_legendre_selfconv, range(len(rows), top + 1)))
+        else:
+            kind, even, odd = key
+            _parity_sums(_rows(kind, 1, top), even, odd, top, rows)
+        equal.extend(rows[k] == U[k] for k in range(len(equal), top + 1))
+        return U if all(equal[: top + 1]) else rows
 
 
 def _thm2_denominator(N: int) -> int:
@@ -213,39 +252,41 @@ def _thm2_denominator(N: int) -> int:
 
 def _sides_thm2(n: int, N: int):
     d = _thm2_denominator(N)
-    return [d * _base(Family.U, N + 1)(n)], [_rhs(n, N, _base(Family.U))], d
+    return [d * _rows(Family.U, N + 1, n)[n]], [_rhs(n, N, _rows(Family.U, 1, n + N))], d
 
 
 def _sides_cor3(n: int, N: int):
-    p, d_conv = _base(Family.LEGENDRE, N + 1), _scale(Family.LEGENDRE, N + 1) ** n
-    d = _thm2_denominator(N)
-    return [d * _convolution(p, p, n)], [d_conv * _rhs(n, N, _base(Family.U))], d_conv * d
+    d, d_conv = _thm2_denominator(N), _scale(Family.LEGENDRE, N + 1) ** n
+    rhs = d_conv * _rhs(n, N, _rows(Family.U, 1, n + N))
+    return [d * _legendre_convolution(N + 1, n)], [rhs], d_conv * d
 
 
 def _sides_cor4(n: int, N: int):
     d = _thm2_denominator(N)
-    return [d * _base(Family.U, N + 1)(n)], [_rhs(n, N, _legendre_selfconv)], d
+    rhs = _rhs(n, N, _rows_or_U(Family.LEGENDRE, n + N))
+    return [d * _rows(Family.U, N + 1, n)[n]], [rhs], d
 
 
 def _sides_thm5_6(kind: Family, sign: int, n: int, N: int):
     """thm5 (V, sign 1) and its fourth-kind analogue thm6 (W, sign -1)."""
-    higher = _base(kind, N + 1)
+    higher = _rows(kind, N + 1, n)
     d = _thm2_denominator(N)
     lhs = LaurentPoly.combination(
-        (d * sign ** (n - l) * binomial(N + n - l, n - l), 0, higher(l)) for l in range(n + 1)
+        (d * sign ** (n - l) * math.comb(N + n - l, n - l), 0, higher[l]) for l in range(n + 1)
     )
-    return [lhs], [_rhs(n, N, _parity_sums(_base(kind), 1, sign, n + N))], d
+    return [lhs], [_rhs(n, N, _rows_or_U((kind, 1, sign), n + N))], d
 
 
 def _sides_thm7(n: int, N: int, first_kind: str):
     kind = Family.T_GF if first_kind == "gf" else Family.T_CLASSICAL
-    base, higher = _base(kind), _base(kind, N + 1)
+    higher = _rows(kind, N + 1, n)
     # (1-t)^(-N-1) (1+t)^(-N-1) = (1-t^2)^(-N-1): only p = n - 2j survives.
     scale = 2 ** (N + 1) * math.factorial(N)
     lhs = LaurentPoly.combination(
-        (scale * binomial(N + j, N), 0, higher(n - 2 * j)) for j in range(n // 2 + 1)
+        (scale * math.comb(N + j, N), 0, higher[n - 2 * j]) for j in range(n // 2 + 1)
     )
-    return [lhs], [_rhs(n, N, _parity_sums(base, 2, 0, n + N))], 1
+    # The (2, 0) parity sums are twice the (1, 0) ones, and _rhs is linear.
+    return [lhs], [2 * _rhs(n, N, _rows_or_U((kind, 1, 0), n + N))], 1
 
 
 # -- the catalog -----------------------------------------------------------------

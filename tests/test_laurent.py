@@ -93,6 +93,21 @@ class TestCanonicalForm:
         with pytest.raises(TypeError):
             lp({0: True})
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda p, b: p * b,
+            lambda p, b: b * p,
+            lambda p, b: p / b,
+        ],
+        ids=["mul", "rmul", "truediv"],
+    )
+    @pytest.mark.parametrize("b", [True, False])
+    def test_scalar_arithmetic_rejects_bools(self, op, b):
+        # p * True used to be p and p * False 0, while lp({0: True}) raised.
+        with pytest.raises(TypeError):
+            op(LaurentPoly.parse("2*x - 1"), b)
+
     @pytest.mark.parametrize("e", [True, 1.5], ids=["bool", "float"])
     def test_constructor_rejects_non_int_exponents(self, e):
         # {True: 1} used to be stored as is, next to int exponents.

@@ -1,14 +1,16 @@
 import hashlib
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
 
-from chebident import verify
+from chebident import families, verify
 from chebident.exact import binomial, falling_factorial
-from chebident.families import Family, FamilySpec, family_poly
+from chebident.families import Family, FamilySpec, family_poly, family_polys
 from chebident.laurent import LaurentPoly
 from chebident.triangle import Triangle, triangle_recurrence, verify_defining_relation
 from chebident.verify import (
@@ -198,7 +200,7 @@ def thm2_rhs_per_term(n, N, base):
         for l in range(n + 1):
             c = ai * binomial(2 * N + n - l - i - 1, n - l) * falling_factorial(l + i, i)
             if c:
-                total = total + c * base(l + i).shift(i + l - 2 * N - n)
+                total = total + c * base[l + i].shift(i + l - 2 * N - n)
     return _prefactor(N) * total
 
 
@@ -217,7 +219,7 @@ def triple_sum_per_term(n, N, base, inner_sign, outer_sign):
                 if inner_sign and s % 2:
                     c = -c
                 if c:
-                    total = total + c * base(p + l).shift(i - 2 * N - m)
+                    total = total + c * base[p + l].shift(i - 2 * N - m)
     return total
 
 
@@ -239,7 +241,7 @@ def triple_sum_grouped(n, N, base, even, odd):
                 if inner[s]:
                     key = (p + l, i - 2 * N - m)
                     coef[key] = coef.get(key, 0) + pref * outer[m] * inner[s] * fall[p]
-    return LaurentPoly.combination((c, e, base(k)) for (k, e), c in coef.items())
+    return LaurentPoly.combination((c, e, base[k]) for (k, e), c in coef.items())
 
 
 def thm7_lhs_weights_by_compositions(n, N):
@@ -253,11 +255,13 @@ def collapsed_triple_sum(n, N, base, even, odd):
     return _rhs(n, N, _parity_sums(base, even, odd, n + N))
 
 
+# Row lists 0..ROWS of the bases that _rhs and _parity_sums take.
+ROWS = 40
 BASES = {
-    kind.value: partial(family_poly, FamilySpec(kind))
+    kind.value: family_polys(FamilySpec(kind), ROWS)
     for kind in (Family.U, Family.V, Family.W, Family.T_GF)
 }
-BASES["Legendre_selfconv"] = _legendre_selfconv
+BASES["Legendre_selfconv"] = [_legendre_selfconv(k) for k in range(ROWS + 1)]
 
 # The per-term sign flags (inner_sign, outer_sign) summed in the reference,
 # mapped to the (even, odd) parity weights of _parity_sums that reproduce
@@ -326,6 +330,87 @@ class TestVandermondeCollapse:
         for check in (verify_thm2, verify_thm5, verify_thm6, verify_thm7):
             assert check(3, 3).passed
             assert not check(3, 2).passed, check.__name__
+
+
+def _cold_caches(monkeypatch) -> None:
+    """Empty, for this test only, every store of rows and sums the cells read."""
+    for module, store in (
+        (families, "_gegenbauer"),
+        (families, "_cache"),
+        (verify, "_bases"),
+        (verify, "_thm2_sums"),
+    ):
+        monkeypatch.setattr(module, store, {})
+    verify._legendre_convolution.cache_clear()
+    verify._rhs_weights.cache_clear()
+
+
+class TestSharedRightSide:
+    # The paper's (1 -/+ t)^(-1) G = F for V and W, (1 - t^2)^(-1) G_T~ = F
+    # and sum_j p_j p_{k-j} = U_k: the bases of cor4, thm5, thm6 and thm7
+    # equal U's row for row, so their right-hand sums are thm2's.
+    def test_bases_equal_U_row_for_row(self):
+        U = BASES["U"]
+        assert BASES["Legendre_selfconv"] == U
+        for kind, odd in ((Family.V, 1), (Family.W, -1), (Family.T_GF, 0)):
+            assert _parity_sums(BASES[kind.value], 1, odd, ROWS) == U, kind
+        classical = family_polys(FamilySpec(Family.T_CLASSICAL), ROWS)
+        assert _parity_sums(classical, 1, 0, ROWS) != U
+
+    def test_thm2_sum_built_once_per_cell(self, monkeypatch):
+        # Every assembly of a right-hand sum reads its weight table once.
+        _cold_caches(monkeypatch)
+        builds: dict = {}
+        weights = verify._rhs_weights
+
+        def counting(n, row):
+            builds[n, len(row)] = builds.get((n, len(row)), 0) + 1
+            return weights(n, row)
+
+        monkeypatch.setattr(verify, "_rhs_weights", counting)
+        assert run_suite(ALL_IDS, 8, 3).all_passed
+        assert builds == {(n, N): 1 for n in range(9) for N in range(1, 4)}
+
+    def test_perturbed_row_falls_back_to_own_rows(self, monkeypatch):
+        # V_3 + 1 in place of V_3: the V sums differ from U's from row 3 on,
+        # so a cell reading row 3 sums its own rows and fails with their
+        # residual, and a cell reading only rows 0..2 still shares and passes
+        # (run last, once the differing row is on record).
+        _cold_caches(monkeypatch)
+        rows, bad, N = verify._rows, 3, 2
+
+        def perturbed(kind, alpha, top):
+            got = rows(kind, alpha, top)
+            if (kind, alpha) != (Family.V, 1):
+                return got
+            return got[:bad] + [got[bad] + LaurentPoly.one()] + got[bad + 1 :]
+
+        monkeypatch.setattr(verify, "_rows", perturbed)
+        V = perturbed(Family.V, 1, ROWS)
+        for n in reversed(range(6)):
+            own = triple_sum_grouped(n, N, V, 1, 1)
+            true = triple_sum_grouped(n, N, BASES["V"], 1, 1)
+            entry = verify_thm5(n, N)
+            assert entry.passed == (n + N < bad), n
+            assert entry.residual == _prefactor(N) * (true - own), n
+        assert verify_thm6(4, N).passed
+
+    def test_threads_with_cold_caches_match_serial(self, monkeypatch):
+        kinds = ("gf", "classical")
+        serial = {k: run_suite(ALL_IDS, 10, 4, first_kind=k).render("json") for k in kinds}
+        _cold_caches(monkeypatch)
+
+        def run(i):
+            return run_suite(ALL_IDS, 10, 4, first_kind=kinds[i % 2]).render("json")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                results = list(pool.map(run, range(6), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [serial[kinds[i % 2]] for i in range(6)]
 
 
 class TestIntegerSides:
