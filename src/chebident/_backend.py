@@ -14,7 +14,10 @@ negation.
 
 Returned dicts are always canonical (no zero coefficients) except for the
 in-place `iadd_scaled_shifted` and `iadd_mul`, whose accumulator the
-caller prunes once at the end via `prune_zeros`.
+caller prunes once at the end via `prune_zeros`.  When nothing cancelled,
+`prune_zeros` returns the accumulator itself instead of a copy, so its
+caller must own the dict it passes (`mul_terms` and
+`LaurentPoly.combination` each pass a fresh one).
 """
 
 from __future__ import annotations
@@ -74,5 +77,8 @@ def iadd_mul(acc, a, b):
 
 
 def prune_zeros(d):
-    """Drop zero coefficients, restoring canonical form."""
+    """Canonical form of d: d itself when no coefficient is zero, else a
+    pruned copy (d is left untouched)."""
+    if all(d.values()):
+        return d
     return {e: v for e, v in d.items() if v}

@@ -19,10 +19,15 @@ R_m = 2^m C_m, from
 
 which stays integral: with t -> 2t the generating function becomes
 ((1-4u)^(-1/2))^a with u = xt - t^2, and (1-4u)^(-1/2) = sum C(2k,k) u^k.
-Both recurrences divide by m exactly; a remainder raises, it is never
-rounded.  Row m of a family is the filter sum_k [t^k] q(t)^alpha * C_{m-k},
-at most alpha+1 taps; for q = 1 it is the table row itself, shared, not
-copied.
+Each table row is built in one pass over its exponents, the step and its
+division by m together; the division is exact, and a remainder raises, it
+is never rounded.  Row m of a family is the filter
+sum_k [t^k] q(t)^alpha * C_{m-k}, at most alpha+1 taps built once per
+(kind, alpha); for q = 1 it is the table row itself, shared, not copied.
+W is the exception: (1+t)^alpha (1-2xt+t^2)^(-alpha) is V's generating
+function at (-x, -t), so W_m(x) = (-1)^m V_m(-x), and W's row m is V's with
+the sign of every coefficient of x^e flipped when m + e is odd.  The
+series oracle filters W by its own (1+t)^alpha, so it still checks this.
 
 `_rows` is the one row store: integer rows for every kind and order, row
 m scaled by s^m, where s = `_scale(kind, alpha)` is 2 for half-integer
@@ -44,6 +49,7 @@ import threading
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 from chebident.exact import _require_int, binomial
 from chebident.laurent import LaurentPoly
@@ -91,7 +97,8 @@ class FamilySpec(namedtuple("FamilySpec", "kind alpha")):
 
 _X = LaurentPoly.x_power(1)
 
-# kind -> (c, e, d, h): numerator q(t) = 1 + c x^e t^d, lambda = alpha / h
+# kind -> (c, e, d, h): numerator q(t) = 1 + c x^e t^d, lambda = alpha / h.
+# `_rows` reads only h of W's entry: W's rows are V's reflected.
 _TABLE = {
     Family.U: (0, 0, 0, 1),
     Family.V: (-1, 0, 1, 1),
@@ -122,11 +129,22 @@ def _gegenbauer_rows(a: int, n: int) -> list[LaurentPoly]:
     s = 1 + a % 2  # the table's row m is s^m C_m
     rows = _gegenbauer.setdefault(a, [LaurentPoly.one()])
     for m in range(len(rows), n + 1):
-        taps = [(s * (2 * m + a - 2), 1, rows[m - 1])]
-        if m >= 2:
-            taps.append((-s * s * (m + a - 2), 0, rows[m - 2]))
-        what = f"Gegenbauer row {m} for 2 lambda = {a}"
-        rows.append(_divide_exact(LaurentPoly.combination(taps), m, what))
+        # One pass over row m's exponents (those of m's parity): the step
+        # m R_m = c1 x R_{m-1} + c2 R_{m-2} and its exact division by m.
+        c1, c2 = s * (2 * m + a - 2), -s * s * (m + a - 2)
+        r1 = rows[m - 1]._terms
+        r2 = rows[m - 2]._terms if m >= 2 else {}
+        row = {}
+        for e in range(m % 2, m + 1, 2):
+            c = c1 * r1.get(e - 1, 0) + c2 * r2.get(e, 0)
+            q, r = divmod(c, m)
+            if r:
+                raise ArithmeticError(
+                    f"Gegenbauer row {m} for 2 lambda = {a}: {c} x^{e} is not divisible by {m}"
+                )
+            if q:
+                row[e] = q
+        rows.append(LaurentPoly._raw(row))
     return rows
 
 
@@ -135,19 +153,36 @@ def _scale(kind: Family, alpha: int) -> int:
     return 2 if alpha % _TABLE[kind][3] else 1
 
 
+@lru_cache(maxsize=None)
+def _taps(alpha: int, c: int, e: int, d: int) -> tuple:
+    """(coefficient, x-shift, t-lag) taps of q(t)^alpha for q = 1 + c x^e t^d."""
+    return tuple((binomial(alpha, k) * c**k, e * k, d * k) for k in range(alpha + 1))
+
+
 def _rows(kind: Family, alpha: int, n: int) -> list[LaurentPoly]:
     """Integer rows 0..n (at least) of the order-alpha power of any family,
     row m scaled by s^m (see `_scale`).  For q = 1 this is the Gegenbauer
-    table itself."""
+    table itself; W's rows are V's reflected."""
     rows = _cache.get((kind, alpha), ())
     if len(rows) > n:
         return rows  # append-only: rows 0..n are complete, no lock needed
+    if kind is Family.W:
+        # W_m(x) = (-1)^m V_m(-x): (1+t)^alpha D(x,t)^(-alpha) is V's generating
+        # function at (-x, -t).  V's rows are fetched before taking _lock, which
+        # is not reentrant; V's list is append-only, so rows 0..n stay complete.
+        v = _rows(Family.V, alpha, n)
+        with _lock:
+            rows = _cache.setdefault((kind, alpha), [])
+            for m in range(len(rows), n + 1):
+                row = {k: -c if (m + k) % 2 else c for k, c in v[m]._terms.items()}
+                rows.append(LaurentPoly._raw(row))
+            return rows
     c, e, d, h = _TABLE[kind]
     with _lock:
         base = _gegenbauer_rows(2 * alpha // h, n)
         # q = 1: the family rows are the table rows, shared, so nothing is left to fill.
         rows = _cache.setdefault((kind, alpha), base if c == 0 else [])
-        taps = [(binomial(alpha, k) * c**k, e * k, d * k) for k in range(alpha + 1)]
+        taps = _taps(alpha, c, e, d) if c else ()
         for m in range(len(rows), n + 1):
             rows.append(
                 LaurentPoly.combination(

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
-from chebident.exact import _require_int, binomial
+from chebident.exact import _require_int
 from chebident.families import Family
 from chebident.laurent import LaurentPoly
 
@@ -133,7 +134,9 @@ def _gegenbauer_sum(a: int, order: int) -> TruncatedSeries:
     for m in range(order + 1):
         scale, terms = 1 << m, {}
         for k in range((m + 1) // 2, m + 1):
-            c = (-1) ** (m - k) * weights[k] * binomial(k, m - k)
+            c = weights[k] * comb(k, m - k)
+            if (m - k) % 2:
+                c = -c
             q, r = divmod(c, scale)
             if r and a % 2 == 0:
                 raise ArithmeticError(

@@ -175,6 +175,65 @@ class TestSeriesOracle:
         assert [n for n in range(13) if expansion.coefficient(n) != rows[n]] == wrong
 
 
+class TestWReflection:
+    """W_m(x) = (-1)^m V_m(-x): (1+t)^alpha D(x,t)^(-alpha) is V's generating
+    function at (-x, -t).  The row store builds W this way; the oracle does not."""
+
+    @pytest.mark.parametrize("alpha", range(1, 7))
+    def test_w_rows_are_v_rows_reflected(self, alpha):
+        v, w = _rows(Family.V, alpha, 40), _rows(Family.W, alpha, 40)
+        for m in range(41):
+            # p(-x) negates the odd-exponent coefficients; (-1)^m flips them all.
+            v_at_minus_x = LaurentPoly({e: (-1) ** e * c for e, c in v[m].terms.items()})
+            assert w[m] == (-1) ** m * v_at_minus_x, (alpha, m)
+        assert family_polys(FamilySpec(Family.W, alpha), 40) == list(
+            gf_expand("W", alpha, 40).coeffs
+        )
+
+    def test_oracle_guards_the_reflection(self, monkeypatch):
+        # V's numerator 1 - t becomes 1 - 2t, with cold caches: W, built from
+        # V's rows, must now disagree with the oracle's own (1 + t) filter.
+        table = dict(families._TABLE)
+        table[Family.V] = (-2, 0, 1, 1)
+        monkeypatch.setattr(families, "_TABLE", table)
+        monkeypatch.setattr(families, "_cache", {})
+        rows = family_polys(FamilySpec(Family.W), 12)
+        expansion = gf_expand(Family.W, 1, 12)
+        assert [n for n in range(13) if expansion.coefficient(n) != rows[n]] == list(range(1, 13))
+
+
+class TestTapList:
+    """The q(t)^alpha taps are built once per (kind, alpha), and never for q = 1."""
+
+    @pytest.fixture
+    def binomial_calls(self, monkeypatch):
+        calls = []
+
+        def counted(n, k):
+            calls.append((n, k))
+            return binomial(n, k)
+
+        monkeypatch.setattr(families, "binomial", counted)
+        families._taps.cache_clear()
+        monkeypatch.setattr(families, "_gegenbauer", {})
+        monkeypatch.setattr(families, "_cache", {})
+        return calls
+
+    @pytest.mark.parametrize("kind", [Family.U, Family.LEGENDRE])
+    def test_no_taps_for_a_numerator_of_one(self, kind, binomial_calls):
+        for alpha in range(1, 5):
+            for n in (0, 3, 10, 24, 48):
+                _rows(kind, alpha, n)
+        assert binomial_calls == []
+
+    @pytest.mark.parametrize("kind", [Family.V, Family.T_GF])
+    @pytest.mark.parametrize("alpha", range(1, 5))
+    def test_taps_built_once_per_order(self, kind, alpha, binomial_calls):
+        for n in (0, 1, 3, 10, 24, 48):
+            assert len(_rows(kind, alpha, n)) == n + 1
+        assert len(binomial_calls) <= alpha + 1
+
+
 class TestStructure:
     def test_degree_equals_index(self):
         for kind in Family:
@@ -270,6 +329,34 @@ class TestIntegerGegenbauer:
                     future.result(timeout=120)
         finally:
             sys.setswitchinterval(interval)
+        for table in (*families._cache.values(), *families._gegenbauer.values()):
+            assert len(table) == n_max + 1
+
+    def test_concurrent_writers_asking_for_w_before_v(self, monkeypatch):
+        # W's rows are V's reflected, and V's rows are fetched before the lock
+        # is taken.  Every thread asks for W first, so W's extension and V's
+        # race from the start.
+        n_max = 40
+        keys = [(kind, alpha) for alpha in (1, 2, 3) for kind in (Family.W, Family.V)]
+        expected = {key: list(_rows(*key, n_max)[: n_max + 1]) for key in keys}
+        monkeypatch.setattr(families, "_gegenbauer", {})
+        monkeypatch.setattr(families, "_cache", {})
+
+        def read_all():
+            for key in keys:
+                for n in range(n_max + 1):
+                    assert _rows(*key, n)[n] == expected[key][n], (key, n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(read_all) for _ in range(6)]
+                for future in futures:
+                    future.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(families._cache) == sorted(keys)
         for table in (*families._cache.values(), *families._gegenbauer.values()):
             assert len(table) == n_max + 1
 

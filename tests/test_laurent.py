@@ -313,3 +313,18 @@ class TestKernels:
         acc = dict(a)
         _backend.iadd_mul(acc, a, {0: -1})
         assert _backend.prune_zeros(acc) == {}
+
+    def test_prune_returns_its_argument_when_nothing_cancelled(self, term_pairs):
+        for a, _ in term_pairs:
+            d = dict(a)
+            assert _backend.prune_zeros(d) is d
+            assert d == a
+
+    def test_prune_copies_and_leaves_the_argument_when_something_cancelled(self, term_pairs):
+        for a, b in term_pairs:
+            d = {**a, **{e: 0 for e in b}, 99: Fraction(0)}
+            before = dict(d)
+            pruned = _backend.prune_zeros(d)
+            assert pruned is not d and d == before
+            assert all(pruned.values())
+            assert pruned == {e: v for e, v in a.items() if e not in b}
