@@ -17,7 +17,6 @@ included when --timings is given.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from chebident.families import Family, FamilySpec, family_poly
@@ -112,6 +111,8 @@ def _cmd_poly(args, parser) -> int:
     if args.format == "pretty":
         text = f"{p}\n"
     elif args.format == "json":
+        import json  # only the JSON format needs it; keeps it off the import path
+
         triples = [[e, str(num), str(den)] for e, num, den in p.to_triples()]
         text = json.dumps(triples, separators=(",", ":")) + "\n"
     else:
@@ -132,6 +133,8 @@ def _cmd_triangle(args, parser) -> int:
         ]
         text = "\n".join(lines) + "\n"
     elif args.format == "json":
+        import json  # only the JSON format needs it; keeps it off the import path
+
         rows = [
             {"N": N, "a": [str(a) for a in tri.row(N)]}
             for N in range(1, tri.n_max + 1)

@@ -127,7 +127,9 @@ def _gegenbauer_rows(a: int, n: int) -> list[LaurentPoly]:
     """Integer rows 0..n (at least) of the table for lambda = a/2: C_m, or
     2^m C_m when a is odd.  Caller holds _lock."""
     s = 1 + a % 2  # the table's row m is s^m C_m
-    rows = _gegenbauer.setdefault(a, [LaurentPoly.one()])
+    rows = _gegenbauer.get(a)
+    if rows is None:
+        rows = _gegenbauer[a] = [LaurentPoly.one()]
     for m in range(len(rows), n + 1):
         # One pass over row m's exponents (those of m's parity): the step
         # m R_m = c1 x R_{m-1} + c2 R_{m-2} and its exact division by m.
@@ -172,7 +174,9 @@ def _rows(kind: Family, alpha: int, n: int) -> list[LaurentPoly]:
         # is not reentrant; V's list is append-only, so rows 0..n stay complete.
         v = _rows(Family.V, alpha, n)
         with _lock:
-            rows = _cache.setdefault((kind, alpha), [])
+            rows = _cache.get((kind, alpha))
+            if rows is None:
+                rows = _cache[kind, alpha] = []
             for m in range(len(rows), n + 1):
                 row = {k: -c if (m + k) % 2 else c for k, c in v[m]._terms.items()}
                 rows.append(LaurentPoly._raw(row))
@@ -180,9 +184,14 @@ def _rows(kind: Family, alpha: int, n: int) -> list[LaurentPoly]:
     c, e, d, h = _TABLE[kind]
     with _lock:
         base = _gegenbauer_rows(2 * alpha // h, n)
-        # q = 1: the family rows are the table rows, shared, so nothing is left to fill.
-        rows = _cache.setdefault((kind, alpha), base if c == 0 else [])
-        taps = _taps(alpha, c, e, d) if c else ()
+        if c == 0:
+            # q = 1: the family rows are the table rows, shared, so nothing is left to fill.
+            _cache[kind, alpha] = base
+            return base
+        rows = _cache.get((kind, alpha))
+        if rows is None:
+            rows = _cache[kind, alpha] = []
+        taps = _taps(alpha, c, e, d)
         for m in range(len(rows), n + 1):
             rows.append(
                 LaurentPoly.combination(

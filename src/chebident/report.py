@@ -10,7 +10,6 @@ so a sub-millisecond cell does not read 0.
 from __future__ import annotations
 
 import io
-import json
 from collections import namedtuple
 
 __all__ = ["ReportEntry", "VerificationReport"]
@@ -93,6 +92,8 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
     def render_json(self, timings: bool = False) -> str:
+        import json  # only this format needs it; keeps it off the CLI's import path
+
         rows = [
             {
                 "identity": e.identity,
@@ -104,7 +105,8 @@ class VerificationReport:
             }
             for e in self.entries
         ]
-        return json.dumps(rows, separators=(",", ":")) + "\n"
+        # Flat dicts of scalars: no container can refer to itself.
+        return json.dumps(rows, separators=(",", ":"), check_circular=False) + "\n"
 
     def render_csv(self, timings: bool = False) -> str:
         import csv  # only this format needs it; keeps it off the CLI's import path

@@ -89,6 +89,7 @@ class Triangle(namedtuple("Triangle", "rows")):
 
 
 _rows_cache: list[tuple[int, ...]] = [(1,)]
+_triangles: dict[int, Triangle] = {}
 _lock = threading.Lock()
 
 
@@ -105,11 +106,20 @@ def _rows_up_to(n_max: int) -> list[tuple[int, ...]]:
 
 
 def triangle_recurrence(n_max: int) -> Triangle:
-    """Build rows 1..n_max by the recurrence (cached across calls)."""
+    """Rows 1..n_max by the recurrence.
+
+    The rows are built once, and one `Triangle` is kept per ``n_max``: it
+    is an immutable tuple of int tuples, so every caller shares it, and a
+    kept one is returned without the lock.
+    """
     _require_int("n_max", n_max)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    return Triangle(tuple(_rows_up_to(n_max)))
+    tri = _triangles.get(n_max)
+    if tri is None:
+        # Threads that race here build equal triangles; setdefault keeps the first.
+        tri = _triangles.setdefault(n_max, Triangle(tuple(_rows_up_to(n_max))))
+    return tri
 
 
 def a1_closed(N: int) -> int:

@@ -9,7 +9,8 @@ only a failing cell builds its lowest nonzero t-coefficient, the only
 rational here.  Every identity but the defining relation has one
 t-coefficient, assembled from the integer rows of `families._rows`, whose
 append-only list per (kind, order) a cell fetches once and reads by index,
-and one convolution, `_convolution`.  The denominators are
+and one convolution, `_convolution`, which accumulates all of its products
+in one term map and prunes it once.  The denominators are
 
   thm2, cor4, thm5, thm6   d = 2^N N!, the prefactor moved to the left
   Legendre convolutions    d = s^n over the rows r_m = s^m p_m^(a) (s = 2
@@ -49,15 +50,16 @@ the series form of (1 -/+ t)^(-1) G = F.  For V at (1, 1), W at (1, -1)
 and T~ at (1, 0) these running sums are U's rows, and so are cor4's
 Legendre self-convolutions (sum_j p_j p_{k-j} = U_k); thm7's (2, 0) sums
 are twice the (1, 0) ones and `_rhs` is linear.  So all of these right
-sides are thm2's sum.  `_rows_or_U` compares each row of such a base with
-U's once, structurally, and hands `_rhs` U's own row list only when every
-row a cell reads is equal; over U's rows `_rhs` builds the sum once per
-(n, triangle row) and keeps it, so thm2, cor3, cor4, thm5, thm6 and thm7
-share one sum per (n, N).  A base with a differing row (classical T in
-thm7, or a perturbed row) is summed over its own rows, so no verdict
-rests on the identities that justify the sharing.  The integer weights
-of `_rhs` are built once per (n, triangle row), and each Legendre
-self-convolution once per (alpha, n).
+sides are thm2's sum.  `_rows_or_U` compares the rows of such a base with
+U's once each, structurally, up to the first that differs, and keeps the
+length of the equal prefix; it hands `_rhs` U's own row list, without a
+lock, only when every row a cell reads lies in that prefix.  Over U's rows
+`_rhs` builds the sum once per (n, triangle row) and keeps it, so thm2,
+cor3, cor4, thm5, thm6 and thm7 share one sum per (n, N).  A base with
+a differing row (classical T in thm7, or a perturbed row) is summed over
+its own rows, so no verdict rests on the identities that justify the
+sharing.  The integer weights of `_rhs` are built once per (n, triangle
+row), and each Legendre self-convolution once per (alpha, n).
 thm7's left-hand weights collapse the same way, because
 (1-t)^(-N-1) (1+t)^(-N-1) = (1-t^2)^(-N-1).
 
@@ -85,6 +87,7 @@ from collections import namedtuple
 from enum import Enum
 from functools import lru_cache, partial
 
+from chebident import _backend as _k
 from chebident.exact import _require_int
 from chebident.families import Family, _divide_exact, _rows, _scale
 from chebident.laurent import LaurentPoly
@@ -106,6 +109,9 @@ __all__ = [
 ]
 
 
+_ZERO = LaurentPoly.zero()  # immutable, so one instance serves every passing cell
+
+
 class IdentityId(str, Enum):
     INTRO_U_FROM_T = "intro_U_from_T"
     U_FROM_LEGENDRE = "U_from_Legendre"
@@ -121,13 +127,20 @@ class IdentityId(str, Enum):
 def _convolution(f: list, g: list, n: int) -> LaurentPoly:
     """sum_{l=0..n} f[l] g[n-l] over two row lists.
 
-    When f is g the terms l and n-l are equal, so each cross product is
-    built once and doubled, and a middle square (even n) is added once.
+    Every product is accumulated into one term map, pruned once at the end,
+    so no partial sum is built.  When f is g the terms l and n-l are equal,
+    so each cross product is accumulated once and the total doubled, and a
+    middle square (even n) is added once.
     """
+    acc: dict = {}
     if f is not g:
-        return sum((f[l] * g[n - l] for l in range(n + 1)), LaurentPoly.zero())
-    cross = sum((f[l] * f[n - l] for l in range((n + 1) // 2)), LaurentPoly.zero())
-    return 2 * cross + (f[n // 2] * f[n // 2] if n % 2 == 0 else LaurentPoly.zero())
+        for l in range(n + 1):
+            _k.iadd_mul(acc, f[l]._terms, g[n - l]._terms)
+        return LaurentPoly._raw(_k.prune_zeros(acc))
+    for l in range((n + 1) // 2):
+        _k.iadd_mul(acc, f[l]._terms, f[n - l]._terms)
+    cross = LaurentPoly._raw(_k.prune_zeros(acc))
+    return 2 * cross + (f[n // 2] * f[n // 2] if n % 2 == 0 else _ZERO)
 
 
 @lru_cache(maxsize=None)
@@ -193,7 +206,7 @@ def _rhs(n: int, N: int, base: list) -> LaurentPoly:
     sum is thm2's; it is built once per (n, triangle row) and kept, and
     every cell whose base rows equal U's (see `_rows_or_U`) takes it.
     """
-    row = triangle_recurrence(N).row(N)
+    row = triangle_recurrence(N).rows[N - 1]
     shared = base is _rows(Family.U, 1, 0)
     if shared and (n, row) in _thm2_sums:
         return _thm2_sums[n, row]
@@ -220,6 +233,9 @@ def _parity_sums(base: list, even: int, odd: int, top: int, S: list | None = Non
     return S
 
 
+# key -> (rows, prefix): the rows built so far, and how many of the leading
+# rows equal U's.  The prefix only grows, and a reader that finds its top
+# row inside it needs neither the lock nor the rows.
 _bases: dict = {}
 _bases_lock = threading.Lock()
 
@@ -229,20 +245,29 @@ def _rows_or_U(key, top: int) -> list:
 
     ``key`` is (kind, even, odd) for the `_parity_sums` of family ``kind``
     at order 1, or Family.LEGENDRE for `_legendre_selfconv`.  Each row is
-    built once and compared structurally with U's once, and both are kept
-    per key, so a cell takes thm2's shared sum from `_rhs` only when every
-    row it reads is U's, and sums its own rows otherwise.
+    built once and kept per key, with the length of the prefix of rows
+    that equal U's.  Rows are compared with U's structurally, once each and
+    only up to the first that differs; past it the prefix is final.  A cell
+    whose rows lie inside the prefix gets U's list, without the lock, and
+    so thm2's shared sum from `_rhs`; any other cell sums its own rows.
     """
     U = _rows(Family.U, 1, top)
+    if top < _bases.get(key, ((), 0))[1]:
+        return U
     with _bases_lock:
-        rows, equal = _bases.setdefault(key, ([], []))
+        rows, prefix = _bases.get(key) or ([], 0)
+        # Every row so far equals U's; otherwise the prefix stopped at a difference.
+        open_prefix = prefix == len(rows)
         if key is Family.LEGENDRE:
             rows.extend(map(_legendre_selfconv, range(len(rows), top + 1)))
         else:
             kind, even, odd = key
             _parity_sums(_rows(kind, 1, top), even, odd, top, rows)
-        equal.extend(rows[k] == U[k] for k in range(len(equal), top + 1))
-        return U if all(equal[: top + 1]) else rows
+        if open_prefix:
+            while prefix < len(rows) and rows[prefix] == U[prefix]:
+                prefix += 1
+            _bases[key] = rows, prefix
+        return U if top < prefix else rows
 
 
 def _thm2_denominator(N: int) -> int:
@@ -348,7 +373,8 @@ def _check_args(first_kind: str = "gf", **indices: int) -> None:
     if first_kind not in ("gf", "classical"):
         raise ValueError(f"first_kind must be 'gf' or 'classical', got {first_kind!r}")
     for name, value in indices.items():
-        _require_int(name, value)
+        if type(value) is not int:
+            _require_int(name, value)
         least = int(name in ("N", "alpha"))
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
@@ -371,18 +397,21 @@ def _certify(identity: str, **params) -> ReportEntry:
     lhs, rhs, d = row.sides(**params)
     rhs_polynomial = all(map(LaurentPoly.is_polynomial, rhs)) if row.tracks_rhs else None
     passed = lhs == rhs
-    # Only a failure pays for the rationals: its residual is the lowest
-    # nonzero t-coefficient of (L' - R')/d.
-    diffs = (LaurentPoly(((l - r) / d).terms) for l, r in zip(lhs, rhs) if l != r)
-    residual = LaurentPoly.zero() if passed else next(diffs)
+    if passed:
+        residual = _ZERO
+    else:
+        # Only a failure pays for the rationals: its residual is the lowest
+        # nonzero t-coefficient of (L' - R')/d.
+        l, r = next((l, r) for l, r in zip(lhs, rhs) if l != r)
+        residual = LaurentPoly(((l - r) / d).terms)
     return ReportEntry(
-        identity=identity,
-        n=params.get("n", params.get("order")),
-        N=params.get("N", params.get("alpha", 0)),
-        passed=passed,
-        residual=residual,
-        rhs_polynomial=rhs_polynomial,
-        elapsed_ms=(time.perf_counter() - start) * 1000.0,
+        identity,
+        params.get("n", params.get("order")),
+        params.get("N", params.get("alpha", 0)),
+        passed,
+        residual,
+        rhs_polynomial,
+        (time.perf_counter() - start) * 1000.0,
     )
 
 
@@ -471,13 +500,14 @@ def run_suite(
     report = VerificationReport()
     for identity in selected:
         row = _CATALOG[identity]
+        name = identity.value
         # Looked up on the module, not bound at import, so that wrappers
         # installed there (tracing, counting) see every cell.
         check = globals()[row.entry_point]
         for N, n in suite_cells(identity, n_max, N_max):
             params = dict(zip(row.params, (N, first_kind)))
             entry = check(n, **params)
-            if entry.identity != identity.value:  # Ualpha_from_Legendre at alpha = 1
-                entry = entry._replace(identity=identity.value)
+            if entry.identity != name:  # Ualpha_from_Legendre at alpha = 1
+                entry = entry._replace(identity=name)
             report.entries.append(entry)
     return report

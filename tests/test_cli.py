@@ -320,5 +320,7 @@ class TestColdImport:
         ).stdout
         loaded = set(out.split())
         assert "chebident.cli" in loaded
-        # csv is imported by render_csv alone, which the default format never calls.
-        assert sorted(loaded & {"dataclasses", "inspect", "typing", "ast", "dis", "csv"}) == []
+        # csv and json are imported only by the formats that use them, which
+        # the default format never calls.
+        unwanted = {"dataclasses", "inspect", "typing", "ast", "dis", "csv", "json"}
+        assert sorted(loaded & unwanted) == []

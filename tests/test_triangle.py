@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import product
 
@@ -111,6 +113,40 @@ class TestRecurrence:
                         * tri.entry(i - 1, N - k)
                     )
                 assert total == tri.entry(i, N + 1)
+
+
+class TestKeptTriangles:
+    def test_one_triangle_per_n_max(self, monkeypatch):
+        kept = [triangle_recurrence(n) for n in range(1, 16)]
+        assert all(triangle_recurrence(n) is kept[n - 1] for n in range(1, 16))
+        # A cold store builds the same rows again, as new objects.
+        monkeypatch.setattr(triangle, "_rows_cache", [(1,)])
+        monkeypatch.setattr(triangle, "_triangles", {})
+        for n in reversed(range(1, 16)):
+            fresh = triangle_recurrence(n)
+            assert fresh == kept[n - 1] and fresh is not kept[n - 1]
+            assert fresh.rows == tuple(kept[14].rows[:n])
+
+    def test_concurrent_callers_get_equal_triangles(self, monkeypatch):
+        expected = {n: triangle_recurrence(n) for n in range(1, 31)}
+        monkeypatch.setattr(triangle, "_rows_cache", [(1,)])
+        monkeypatch.setattr(triangle, "_triangles", {})
+
+        def build(i):
+            order = list(range(1, 31))
+            if i % 2:
+                order.reverse()
+            return {n: triangle_recurrence(n) for n in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(build, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(result == expected for result in results)
+        assert all(triangle_recurrence(n) == expected[n] for n in expected)
 
 
 class TestTriangleAccess:

@@ -14,6 +14,7 @@ from chebident.families import Family, FamilySpec, family_poly, family_polys
 from chebident.laurent import LaurentPoly
 from chebident.triangle import Triangle, triangle_recurrence, verify_defining_relation
 from chebident.verify import (
+    _convolution,
     _legendre_selfconv,
     _parity_sums,
     _rhs,
@@ -345,6 +346,54 @@ def _cold_caches(monkeypatch) -> None:
     verify._rhs_weights.cache_clear()
 
 
+def convolution_reference(f, g, n):
+    """sum_l f[l] g[n-l], one LaurentPoly product and sum per term."""
+    total = LaurentPoly.zero()
+    for l in range(n + 1):
+        total = total + f[l] * g[n - l]
+    return total
+
+
+# Row lists 0..24: U, T~ and Legendre as integer rows (order 1 and 3) and
+# as the public rational Legendre rows.
+CONVOLUTION_ROWS = {
+    "U": verify._rows(Family.U, 1, 24)[:25],
+    "T_gf": verify._rows(Family.T_GF, 1, 24)[:25],
+    "Legendre": verify._rows(Family.LEGENDRE, 1, 24)[:25],
+    "Legendre3": verify._rows(Family.LEGENDRE, 3, 24)[:25],
+    "Legendre_public": family_polys(FamilySpec(Family.LEGENDRE), 24),
+}
+
+
+class TestConvolution:
+    @pytest.mark.parametrize("name", list(CONVOLUTION_ROWS))
+    def test_self_convolution_matches_reference(self, name):
+        f = CONVOLUTION_ROWS[name]
+        for n in range(25):
+            assert _convolution(f, f, n) == convolution_reference(f, f, n), n
+
+    @pytest.mark.parametrize(
+        "pair", [("T_gf", "U"), ("U", "Legendre"), ("Legendre_public", "Legendre3")]
+    )
+    def test_convolution_of_two_lists_matches_reference(self, pair):
+        f, g = (CONVOLUTION_ROWS[name] for name in pair)
+        for n in range(25):
+            assert _convolution(f, g, n) == convolution_reference(f, g, n), n
+
+    def test_cancelling_sum_is_the_zero_polynomial(self):
+        x = LaurentPoly.x_power(1)
+        one = LaurentPoly.one()
+        # f0 g1 + f1 g0 = -x^2 + x^2.
+        f, g = [x, x], [x, -x]
+        # Self-convolutions: at n = 3 the cross products cancel (-1 + 1), at
+        # n = 2 twice the cross product cancels the middle square (-4x^2 + 4x^2).
+        h = [one, one, one, -one]
+        k = [2 * one, 2 * x, -(x * x)]
+        for result in (_convolution(f, g, 1), _convolution(h, h, 3), _convolution(k, k, 2)):
+            assert result == LaurentPoly.zero()
+            assert result.terms == {}
+
+
 class TestSharedRightSide:
     # The paper's (1 -/+ t)^(-1) G = F for V and W, (1 - t^2)^(-1) G_T~ = F
     # and sum_j p_j p_{k-j} = U_k: the bases of cor4, thm5, thm6 and thm7
@@ -394,6 +443,37 @@ class TestSharedRightSide:
             assert entry.passed == (n + N < bad), n
             assert entry.residual == _prefactor(N) * (true - own), n
         assert verify_thm6(4, N).passed
+
+    @pytest.mark.parametrize(
+        "key", [(Family.V, 1, 1), (Family.W, 1, -1), (Family.T_GF, 1, 0), Family.LEGENDRE]
+    )
+    def test_rows_inside_the_equal_prefix_are_read_without_the_lock(self, monkeypatch, key):
+        _cold_caches(monkeypatch)
+        U = verify._rows(Family.U, 1, 12)
+        assert verify._rows_or_U(key, 12) is U
+
+        class NoLock:
+            def __enter__(self):
+                raise AssertionError("the lock was taken for a warm prefix")
+
+            def __exit__(self, *exc):
+                return False
+
+        monkeypatch.setattr(verify, "_bases_lock", NoLock())
+        for top in range(13):
+            assert verify._rows_or_U(key, top) is U, top
+
+    def test_prefix_stops_at_the_first_differing_row(self, monkeypatch):
+        # Classical T's running sums are U's at row 0 only: S_1 = x, U_1 = 2x.
+        _cold_caches(monkeypatch)
+        key = (Family.T_CLASSICAL, 1, 0)
+        U = verify._rows(Family.U, 1, 8)
+        own = verify._rows_or_U(key, 8)
+        assert own is not U and own[:9] == _parity_sums(verify._rows(*key[:2], 8), 1, 0, 8)
+        assert verify._bases[key][1] == 1
+        assert verify._rows_or_U(key, 0) is U
+        assert verify._rows_or_U(key, 12) is own and len(own) == 13
+        assert verify._bases[key][1] == 1
 
     def test_threads_with_cold_caches_match_serial(self, monkeypatch):
         kinds = ("gf", "classical")
@@ -572,6 +652,34 @@ class TestIndexValidation:
             mp.setattr(verify, "_CATALOG", catalog)
             with pytest.raises(expected, match=rf"^{names[position]} must be "):
                 check(*args)
+
+
+class Index(int):
+    """An int subclass: a valid index, though not of type int itself."""
+
+
+class TestIntSubclassIndices:
+    VALUES = {"n": 3, "N": 2, "alpha": 2, "order": 6}
+
+    @pytest.mark.parametrize(
+        "check,names",
+        TestIndexValidation.ENTRY_POINTS,
+        ids=[check.__name__ for check, _ in TestIndexValidation.ENTRY_POINTS],
+    )
+    def test_entry_points_accept_int_subclass(self, check, names):
+        plain = [self.VALUES[name] for name in names]
+        expected = check(*plain)._replace(elapsed_ms=0.0)
+        for position in range(len(names)):
+            args = list(plain)
+            args[position] = Index(args[position])
+            assert check(*args)._replace(elapsed_ms=0.0) == expected
+
+    def test_grid_bounds_accept_int_subclass(self):
+        assert suite_cells(IdentityId.THM2, Index(4), Index(2)) == suite_cells(
+            IdentityId.THM2, 4, 2
+        )
+        got = run_suite(ALL_IDS, Index(4), Index(2)).render("json")
+        assert got == run_suite(ALL_IDS, 4, 2).render("json")
 
 
 def _no_work(*args, **kwargs):
