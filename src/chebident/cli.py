@@ -100,14 +100,8 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_poly(args, parser) -> int:
-    if args.n < 0:
-        parser.error("--n must be >= 0")
-    try:
-        spec = FamilySpec(Family(args.family), args.alpha)
-    except ValueError as exc:
-        parser.error(str(exc))
-    p = family_poly(spec, args.n)
+def _cmd_poly(args) -> int:
+    p = family_poly(FamilySpec(args.family, args.alpha), args.n)
     if args.format == "pretty":
         text = f"{p}\n"
     elif args.format == "json":
@@ -122,9 +116,7 @@ def _cmd_poly(args, parser) -> int:
     return 0
 
 
-def _cmd_triangle(args, parser) -> int:
-    if args.n_max < 1:
-        parser.error("--n-max must be >= 1")
+def _cmd_triangle(args) -> int:
     tri = triangle_recurrence(args.n_max)
     if args.format == "pretty":
         lines = [
@@ -147,24 +139,20 @@ def _cmd_triangle(args, parser) -> int:
     return 0
 
 
-def _cmd_verify(args, parser) -> int:
-    if args.identity == "all":
-        identities = list(IdentityId)
-    else:
-        identities = [IdentityId(args.identity)]
-    try:
-        report = run_suite(identities, args.n_max, args.N_max, args.first_kind)
-    except ValueError as exc:
-        parser.error(str(exc))
+def _cmd_verify(args) -> int:
+    identities = list(IdentityId) if args.identity == "all" else [args.identity]
+    report = run_suite(identities, args.n_max, args.N_max, args.first_kind)
     _emit(report.render(args.format, timings=args.timings), args.output)
     return 0 if report.all_passed else 1
 
 
-def _cmd_defining_relation(args, parser) -> int:
+def _cmd_defining_relation(args) -> int:
+    # --N-max 0 would print an empty report that passes.  Each N checks its
+    # own order too; this message names the flags.
     if args.N_max < 1:
-        parser.error("--N-max must be >= 1")
+        raise ValueError("--N-max must be >= 1")
     if args.order < 3 * args.N_max:
-        parser.error("--order must be >= 3 * --N-max")
+        raise ValueError("--order must be >= 3 * --N-max")
     report = VerificationReport(
         [verify_defining_relation(N, args.order) for N in range(1, args.N_max + 1)]
     )
@@ -172,22 +160,24 @@ def _cmd_defining_relation(args, parser) -> int:
     return 0 if report.all_passed else 1
 
 
+_COMMANDS = {
+    "poly": _cmd_poly,
+    "triangle": _cmd_triangle,
+    "verify": _cmd_verify,
+    "defining-relation": _cmd_defining_relation,
+}
+
+
 def run(argv) -> int:
     """Parse argv (without the program name) and execute; returns the exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    try:
-        if args.command == "poly":
-            return _cmd_poly(args, parser)
-        if args.command == "triangle":
-            return _cmd_triangle(args, parser)
-        if args.command == "verify":
-            return _cmd_verify(args, parser)
-        return _cmd_defining_relation(args, parser)
-    except SystemExit as exc:  # parser.error() inside a command
+        try:
+            return _COMMANDS[args.command](args)
+        except ValueError as exc:  # the library rejected an argument: a usage error
+            parser.error(str(exc))
+    except SystemExit as exc:  # argparse, parser.error() or an unwritable --output
         return int(exc.code) if exc.code is not None else 0
 
 

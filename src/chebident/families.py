@@ -39,8 +39,10 @@ integer rows and carries s^n as a denominator.
 T_gf and T_classical are deliberately separate families: mixing them up
 shifts every identity by factors of 2.  FamilySpec allows T_classical at
 order 1 only; thm7's normalization guard reads higher orders via `_rows`.
-Rows are cached per 2 lambda and per (kind, alpha), extended lazily and
-append-only behind a lock; returned polynomials are immutable.
+Rows are kept in one store, `_cache`, one list per (kind, alpha),
+extended lazily and append-only behind a lock.  The table for 2 lambda = a
+is the list of (U, a/2) for even a and of (Legendre, a) for odd a; even-
+order Legendre shares U's list.  Returned polynomials are immutable.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import threading
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from chebident.exact import _require_int, binomial
 from chebident.laurent import LaurentPoly
@@ -98,7 +100,7 @@ class FamilySpec(namedtuple("FamilySpec", "kind alpha")):
 _X = LaurentPoly.x_power(1)
 
 # kind -> (c, e, d, h): numerator q(t) = 1 + c x^e t^d, lambda = alpha / h.
-# `_rows` reads only h of W's entry: W's rows are V's reflected.
+# Only `_scale` reads W's entry: W's rows are V's reflected.
 _TABLE = {
     Family.U: (0, 0, 0, 1),
     Family.V: (-1, 0, 1, 1),
@@ -108,7 +110,6 @@ _TABLE = {
     Family.LEGENDRE: (0, 0, 0, 2),
 }
 
-_gegenbauer: dict[int, list[LaurentPoly]] = {}
 _cache: dict[tuple[Family, int], list[LaurentPoly]] = {}
 _lock = threading.Lock()
 
@@ -123,31 +124,28 @@ def _divide_exact(p: LaurentPoly, m: int, what: str) -> LaurentPoly:
     return LaurentPoly._raw(quotient)
 
 
-def _gegenbauer_rows(a: int, n: int) -> list[LaurentPoly]:
-    """Integer rows 0..n (at least) of the table for lambda = a/2: C_m, or
-    2^m C_m when a is odd.  Caller holds _lock."""
+def _gegenbauer_row(a: int, rows: list, m: int) -> LaurentPoly:
+    """Integer row m of the table for lambda = a/2 (C_m, or 2^m C_m when a
+    is odd), from its rows m-1 and m-2 in ``rows``."""
+    if m == 0:
+        return LaurentPoly.one()
     s = 1 + a % 2  # the table's row m is s^m C_m
-    rows = _gegenbauer.get(a)
-    if rows is None:
-        rows = _gegenbauer[a] = [LaurentPoly.one()]
-    for m in range(len(rows), n + 1):
-        # One pass over row m's exponents (those of m's parity): the step
-        # m R_m = c1 x R_{m-1} + c2 R_{m-2} and its exact division by m.
-        c1, c2 = s * (2 * m + a - 2), -s * s * (m + a - 2)
-        r1 = rows[m - 1]._terms
-        r2 = rows[m - 2]._terms if m >= 2 else {}
-        row = {}
-        for e in range(m % 2, m + 1, 2):
-            c = c1 * r1.get(e - 1, 0) + c2 * r2.get(e, 0)
-            q, r = divmod(c, m)
-            if r:
-                raise ArithmeticError(
-                    f"Gegenbauer row {m} for 2 lambda = {a}: {c} x^{e} is not divisible by {m}"
-                )
-            if q:
-                row[e] = q
-        rows.append(LaurentPoly._raw(row))
-    return rows
+    # One pass over row m's exponents (those of m's parity): the step
+    # m R_m = c1 x R_{m-1} + c2 R_{m-2} and its exact division by m.
+    c1, c2 = s * (2 * m + a - 2), -s * s * (m + a - 2)
+    r1 = rows[m - 1]._terms
+    r2 = rows[m - 2]._terms if m >= 2 else {}
+    row = {}
+    for e in range(m % 2, m + 1, 2):
+        c = c1 * r1.get(e - 1, 0) + c2 * r2.get(e, 0)
+        q, r = divmod(c, m)
+        if r:
+            raise ArithmeticError(
+                f"Gegenbauer row {m} for 2 lambda = {a}: {c} x^{e} is not divisible by {m}"
+            )
+        if q:
+            row[e] = q
+    return LaurentPoly._raw(row)
 
 
 def _scale(kind: Family, alpha: int) -> int:
@@ -163,41 +161,46 @@ def _taps(alpha: int, c: int, e: int, d: int) -> tuple:
 
 def _rows(kind: Family, alpha: int, n: int) -> list[LaurentPoly]:
     """Integer rows 0..n (at least) of the order-alpha power of any family,
-    row m scaled by s^m (see `_scale`).  For q = 1 this is the Gegenbauer
-    table itself; W's rows are V's reflected."""
+    row m scaled by s^m (see `_scale`), kept in `_cache` per (kind, alpha).
+
+    U and odd-order Legendre run the Gegenbauer step; even-order Legendre
+    is U's list at alpha/2, the same list; V, T_gf and T_classical filter
+    U's rows at alpha by their taps; W's rows are V's reflected.
+    """
     rows = _cache.get((kind, alpha), ())
     if len(rows) > n:
         return rows  # append-only: rows 0..n are complete, no lock needed
+    c, e, d, h = _TABLE[kind]
+    # Each branch chooses the row step; one loop below runs it.  Rows of
+    # another list are fetched here, before taking _lock, which is not
+    # reentrant; that list is append-only, so its rows 0..n stay complete.
     if kind is Family.W:
         # W_m(x) = (-1)^m V_m(-x): (1+t)^alpha D(x,t)^(-alpha) is V's generating
-        # function at (-x, -t).  V's rows are fetched before taking _lock, which
-        # is not reentrant; V's list is append-only, so rows 0..n stay complete.
+        # function at (-x, -t).
         v = _rows(Family.V, alpha, n)
-        with _lock:
-            rows = _cache.get((kind, alpha))
-            if rows is None:
-                rows = _cache[kind, alpha] = []
-            for m in range(len(rows), n + 1):
-                row = {k: -c if (m + k) % 2 else c for k, c in v[m]._terms.items()}
-                rows.append(LaurentPoly._raw(row))
-            return rows
-    c, e, d, h = _TABLE[kind]
+
+        def step(rows, m):
+            return LaurentPoly._raw({k: -b if (m + k) % 2 else b for k, b in v[m]._terms.items()})
+
+    elif c:
+        u, taps = _rows(Family.U, alpha, n), _taps(alpha, c, e, d)
+
+        def step(rows, m):
+            return LaurentPoly.combination(
+                (coef, shift, u[m - lag]) for coef, shift, lag in taps if lag <= m
+            )
+
+    elif kind is Family.LEGENDRE and alpha % 2 == 0:
+        # Integer lambda = alpha/2: the rows are U's at alpha/2, shared, not copied.
+        return _cache.setdefault((kind, alpha), _rows(Family.U, alpha // 2, n))
+    else:
+        step = partial(_gegenbauer_row, 2 * alpha // h)
     with _lock:
-        base = _gegenbauer_rows(2 * alpha // h, n)
-        if c == 0:
-            # q = 1: the family rows are the table rows, shared, so nothing is left to fill.
-            _cache[kind, alpha] = base
-            return base
         rows = _cache.get((kind, alpha))
         if rows is None:
             rows = _cache[kind, alpha] = []
-        taps = _taps(alpha, c, e, d)
         for m in range(len(rows), n + 1):
-            rows.append(
-                LaurentPoly.combination(
-                    (coef, shift, base[m - lag]) for coef, shift, lag in taps if lag <= m
-                )
-            )
+            rows.append(step(rows, m))
         return rows
 
 

@@ -46,7 +46,6 @@ big integers throughout.
 from __future__ import annotations
 
 import math
-import threading
 from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
@@ -88,37 +87,32 @@ class Triangle(namedtuple("Triangle", "rows")):
         return row[i - 1]
 
 
-_rows_cache: list[tuple[int, ...]] = [(1,)]
 _triangles: dict[int, Triangle] = {}
-_lock = threading.Lock()
-
-
-def _rows_up_to(n_max: int) -> list[tuple[int, ...]]:
-    with _lock:
-        while len(_rows_cache) < n_max:
-            prev = _rows_cache[-1]
-            N = len(_rows_cache)
-            nxt = [(2 * N - 1) * prev[0]]
-            nxt.extend(prev[i - 2] + (2 * N - i) * prev[i - 1] for i in range(2, N + 1))
-            nxt.append(prev[-1])
-            _rows_cache.append(tuple(nxt))
-        return _rows_cache[:n_max]
 
 
 def triangle_recurrence(n_max: int) -> Triangle:
     """Rows 1..n_max by the recurrence.
 
-    The rows are built once, and one `Triangle` is kept per ``n_max``: it
-    is an immutable tuple of int tuples, so every caller shares it, and a
-    kept one is returned without the lock.
+    One `Triangle` is kept per ``n_max``.  It is an immutable tuple of int
+    tuples, so every caller shares it and no lock is needed.  A missing one
+    is built on the kept triangle for n_max - 1, sharing its rows, when
+    there is one, and from a_1(1) = 1 otherwise.
     """
     _require_int("n_max", n_max)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     tri = _triangles.get(n_max)
     if tri is None:
+        below = _triangles.get(n_max - 1)
+        rows = list(below.rows) if below else [(1,)]
+        for N in range(len(rows), n_max):
+            prev = rows[-1]
+            nxt = [(2 * N - 1) * prev[0]]
+            nxt.extend(prev[i - 2] + (2 * N - i) * prev[i - 1] for i in range(2, N + 1))
+            nxt.append(prev[-1])
+            rows.append(tuple(nxt))
         # Threads that race here build equal triangles; setdefault keeps the first.
-        tri = _triangles.setdefault(n_max, Triangle(tuple(_rows_up_to(n_max))))
+        tri = _triangles.setdefault(n_max, Triangle(tuple(rows)))
     return tri
 
 
@@ -199,7 +193,7 @@ def _sides_defining_relation(N: int, order: int):
                   + sum_j a_i(N) C(i,j) (-1)^j x^(i-j) P_i[m-j]
         L'[m] = 2^N N! C(2N,m) (-1)^m x^(2N-m)
     """
-    row = _rows_up_to(N)[N - 1]
+    row = triangle_recurrence(N).rows[N - 1]
     P = [LaurentPoly.one()]
     rhs: list = []
     for i in range(1, N + 1):

@@ -58,8 +58,7 @@ lock, only when every row a cell reads lies in that prefix.  Over U's rows
 cor3, cor4, thm5, thm6 and thm7 share one sum per (n, N).  A base with
 a differing row (classical T in thm7, or a perturbed row) is summed over
 its own rows, so no verdict rests on the identities that justify the
-sharing.  The integer weights of `_rhs` are built once per (n, triangle
-row), and each Legendre self-convolution once per (alpha, n).
+sharing.  Each Legendre self-convolution is built once per (alpha, n).
 thm7's left-hand weights collapse the same way, because
 (1-t)^(-N-1) (1+t)^(-N-1) = (1-t^2)^(-N-1).
 
@@ -177,7 +176,6 @@ def _sides_legendre(n: int, alpha: int):
     return [d * _rows(Family.U, alpha, n)[n]], [_legendre_convolution(alpha, n)], d
 
 
-@lru_cache(maxsize=None)
 def _rhs_weights(n: int, row: tuple) -> tuple:
     """(k, w_k) pairs: _rhs's integer weight on x^(k-n-2N) base[k], N = len(row)."""
     N = len(row)
@@ -202,9 +200,9 @@ def _rhs(n: int, N: int, base: list) -> LaurentPoly:
 
     This is thm2's l-sum with m = n - l and (K)_i = i! C(K, i).  With
     k = n-m+i the power of x is k-n-2N, so the integer weights are summed
-    per k first, once per (n, triangle row).  Over U's own row list the
-    sum is thm2's; it is built once per (n, triangle row) and kept, and
-    every cell whose base rows equal U's (see `_rows_or_U`) takes it.
+    per k first.  Over U's own row list the sum is thm2's; it is built
+    once per (n, triangle row) and kept, and every cell whose base rows
+    equal U's (see `_rows_or_U`) takes it.
     """
     row = triangle_recurrence(N).rows[N - 1]
     shared = base is _rows(Family.U, 1, 0)

@@ -268,9 +268,11 @@ class TestDefiningRelation:
         )
 
     def test_perturbed_row_golden_json(self, capsys, monkeypatch):
-        rows = triangle._rows_up_to(3)
-        bad = rows[:2] + [(rows[2][0], rows[2][1] + 1, rows[2][2])]
-        monkeypatch.setattr(triangle, "_rows_up_to", lambda n_max: bad[:n_max])
+        rows = triangle.triangle_recurrence(3).rows
+        bad = rows[:2] + ((rows[2][0], rows[2][1] + 1, rows[2][2]),)
+        monkeypatch.setattr(
+            triangle, "triangle_recurrence", lambda n_max: triangle.Triangle(bad[:n_max])
+        )
         code, out = invoke(
             capsys, "defining-relation", "--N-max", "3", "--order", "12", "--format", "json"
         )
@@ -297,6 +299,25 @@ class TestUsage:
         code = run(["verify", "all", "--n-max", "3"])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["poly", "--family", "U", "--n", "-3"], "polynomial index must be >= 0, got -3"),
+            (["poly", "--family", "U", "--n", "2", "--alpha", "0"], "family order must be >= 1, got 0"),
+            (["triangle", "--n-max", "0"], "n_max must be >= 1, got 0"),
+            (["verify", "thm2", "--n-max", "-1", "--N-max", "1"], "n_max must be >= 0, got -1"),
+        ],
+        ids=["poly-n", "poly-alpha", "triangle", "verify"],
+    )
+    def test_library_errors_are_usage_errors(self, capsys, argv, message):
+        # One error path: a ValueError from the library becomes exit 2 with
+        # the library's own message.
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.endswith(f"chebident: error: {message}\n")
 
     def test_help_exits_zero(self, capsys):
         code = run(["--help"])

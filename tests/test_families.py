@@ -160,16 +160,10 @@ class TestSeriesOracle:
         # The oracle must not read the rows it checks: corrupt row 3 of the
         # Gegenbauer table behind a family (2 lambda = a) and the comparison
         # has to fail exactly at the rows the numerator's taps reach.
-        real = families._gegenbauer_rows
-
-        def perturbed(table, n):
-            rows = list(real(table, n))
-            if table == a:
-                rows[3] = rows[3] + LaurentPoly.x_power(1)
-            return rows
-
-        monkeypatch.setattr(families, "_gegenbauer_rows", perturbed)
-        monkeypatch.setattr(families, "_cache", {})
+        table = (Family.LEGENDRE, 1) if a == 1 else (Family.U, a // 2)
+        seeded = list(_rows(*table, 12)[:13])
+        seeded[3] = seeded[3] + LaurentPoly.x_power(1)
+        monkeypatch.setattr(families, "_cache", {table: seeded})
         rows = family_polys(FamilySpec(kind), 12)
         expansion = gf_expand(kind, 1, 12)
         assert [n for n in range(13) if expansion.coefficient(n) != rows[n]] == wrong
@@ -215,7 +209,6 @@ class TestTapList:
 
         monkeypatch.setattr(families, "binomial", counted)
         families._taps.cache_clear()
-        monkeypatch.setattr(families, "_gegenbauer", {})
         monkeypatch.setattr(families, "_cache", {})
         return calls
 
@@ -277,18 +270,32 @@ class TestIntegerGegenbauer:
         # would hand out a wrong Legendre row.
         x = LaurentPoly.x_power(1)
         bad_r2 = LaurentPoly({2: 6, 0: -1})
-        monkeypatch.setattr(families, "_gegenbauer", {1: [LaurentPoly.one(), 2 * x, bad_r2]})
-        monkeypatch.setattr(families, "_cache", {})
+        monkeypatch.setattr(
+            families, "_cache", {(Family.LEGENDRE, 1): [LaurentPoly.one(), 2 * x, bad_r2]}
+        )
         with pytest.raises(ArithmeticError, match="not divisible by 3"):
             poly(Family.LEGENDRE, 3)
 
     def test_no_copy_when_the_numerator_is_one(self):
         # q(t) = 1: U^(alpha) and even-order Legendre rows are the table rows.
         table = _rows(Family.LEGENDRE, 4, 12)
-        assert table is _rows(Family.U, 2, 12) is families._gegenbauer[4]
+        assert table is _rows(Family.U, 2, 12)
         u2 = family_polys(FamilySpec(Family.U, 2), 12)
         p4 = family_polys(FamilySpec(Family.LEGENDRE, 4), 12)
         assert all(a is b is c for a, b, c in zip(table, u2, p4))
+
+    @pytest.mark.parametrize("legendre_first", [True, False])
+    def test_even_legendre_is_u_at_half_the_order(self, legendre_first, monkeypatch):
+        # lambda = k for Legendre at order 2k: one list in the store, whichever
+        # of the two is asked for first.
+        monkeypatch.setattr(families, "_cache", {})
+        for k in (1, 2, 3):
+            for n in (4, 12):
+                first, second = (Family.LEGENDRE, 2 * k), (Family.U, k)
+                if not legendre_first:
+                    first, second = second, first
+                assert _rows(*first, n) is _rows(*second, n), (k, n)
+        assert len(families._cache) == 6
 
     @pytest.mark.parametrize("kind", list(Family))
     def test_rows_are_integer_and_scale_to_the_family(self, kind):
@@ -311,7 +318,6 @@ class TestIntegerGegenbauer:
         n_max = 40
         keys = [(kind, alpha) for kind in Family for alpha in (1, 2, 3)]
         expected = {key: list(_rows(*key, n_max)[: n_max + 1]) for key in keys}
-        monkeypatch.setattr(families, "_gegenbauer", {})
         monkeypatch.setattr(families, "_cache", {})
 
         def read_all(offset):
@@ -329,7 +335,7 @@ class TestIntegerGegenbauer:
                     future.result(timeout=120)
         finally:
             sys.setswitchinterval(interval)
-        for table in (*families._cache.values(), *families._gegenbauer.values()):
+        for table in families._cache.values():
             assert len(table) == n_max + 1
 
     def test_concurrent_writers_asking_for_w_before_v(self, monkeypatch):
@@ -339,7 +345,6 @@ class TestIntegerGegenbauer:
         n_max = 40
         keys = [(kind, alpha) for alpha in (1, 2, 3) for kind in (Family.W, Family.V)]
         expected = {key: list(_rows(*key, n_max)[: n_max + 1]) for key in keys}
-        monkeypatch.setattr(families, "_gegenbauer", {})
         monkeypatch.setattr(families, "_cache", {})
 
         def read_all():
@@ -356,8 +361,9 @@ class TestIntegerGegenbauer:
                     future.result(timeout=120)
         finally:
             sys.setswitchinterval(interval)
-        assert sorted(families._cache) == sorted(keys)
-        for table in (*families._cache.values(), *families._gegenbauer.values()):
+        # V filters U's rows at the same order, so U's lists are kept too.
+        assert sorted(families._cache) == sorted(keys + [(Family.U, a) for a in (1, 2, 3)])
+        for table in families._cache.values():
             assert len(table) == n_max + 1
 
 

@@ -4,6 +4,10 @@ The repr strings are pinned as literals; they are what the dataclass
 versions of these records printed, and user scripts and doctests read them.
 """
 
+import csv
+import io
+from fractions import Fraction
+
 import pytest
 
 from chebident.families import Family, FamilySpec
@@ -147,6 +151,34 @@ class TestVerificationReport:
         assert VerificationReport() == VerificationReport([])
         assert VerificationReport() != VerificationReport([ReportEntry(*ENTRY_ARGS)])
         assert VerificationReport() != []
+
+    @pytest.mark.parametrize("timings", [False, True])
+    def test_csv_matches_the_csv_module(self, timings):
+        # render_csv joins its fields with commas and quotes none; csv.writer,
+        # which would quote a field holding a comma, a quote or a line break,
+        # must write the same bytes.
+        residuals = [
+            LaurentPoly({-3: Fraction(-5, 4), 0: 2, 2: Fraction(1, 3)}),
+            LaurentPoly({-1: -7}),
+            LaurentPoly.zero(),
+        ]
+        entries = [
+            ReportEntry("thm7", n, 2, r.is_zero(), r, None, 0.1234567 * (n + 1))
+            for n, r in enumerate(residuals)
+        ]
+        entries += run_suite(["thm7"], 3, 2, first_kind="classical").entries
+        assert any(not e.residual.is_polynomial() for e in entries)
+        reference = io.StringIO()
+        writer = csv.writer(reference, lineterminator="\n")
+        writer.writerow(["identity", "n", "N", "pass", "residual", "ms"])
+        for e in entries:
+            ms = round(e.elapsed_ms, 3) if timings else 0
+            writer.writerow(
+                [e.identity, e.n, e.N, "true" if e.passed else "false", str(e.residual), ms]
+            )
+        rendered = VerificationReport(entries).render_csv(timings)
+        assert rendered == reference.getvalue()
+        assert VerificationReport().render_csv(timings) == "identity,n,N,pass,residual,ms\n"
 
     def test_run_suite_relabels_with_replace(self):
         report = run_suite(["Ualpha_from_Legendre"], n_max=1, N_max=1)

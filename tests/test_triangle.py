@@ -34,7 +34,7 @@ def defining_relation_series(N, order):
     """
     u = gf_expand("U", 1, order).coeffs
     f_power = gf_expand("U", N + 1, order - N).coeffs
-    row = triangle._rows_up_to(N)[N - 1]
+    row = triangle.triangle_recurrence(N).rows[N - 1]
     scale = 2**N * math.factorial(N)
     for m in range(order - N + 1):
         lhs = LaurentPoly.combination(
@@ -120,16 +120,29 @@ class TestKeptTriangles:
         kept = [triangle_recurrence(n) for n in range(1, 16)]
         assert all(triangle_recurrence(n) is kept[n - 1] for n in range(1, 16))
         # A cold store builds the same rows again, as new objects.
-        monkeypatch.setattr(triangle, "_rows_cache", [(1,)])
         monkeypatch.setattr(triangle, "_triangles", {})
         for n in reversed(range(1, 16)):
             fresh = triangle_recurrence(n)
             assert fresh == kept[n - 1] and fresh is not kept[n - 1]
             assert fresh.rows == tuple(kept[14].rows[:n])
 
+    def test_ascending_calls_extend_the_kept_triangle(self, monkeypatch):
+        monkeypatch.setattr(triangle, "_triangles", {})
+        ascending = [triangle_recurrence(n) for n in range(1, 41)]
+        for below, tri in zip(ascending, ascending[1:]):
+            assert all(a is b for a, b in zip(below.rows, tri.rows))
+        monkeypatch.setattr(triangle, "_triangles", {})
+        descending = [triangle_recurrence(n) for n in reversed(range(1, 41))]
+        assert [t.rows for t in reversed(descending)] == [t.rows for t in ascending]
+        # The build starts from the kept n_max - 1 triangle, not from a second
+        # store: rows 1..5 of a kept triangle made of fresh tuples are reused.
+        kept = Triangle(tuple(tuple([*row]) for row in ascending[4].rows))
+        monkeypatch.setattr(triangle, "_triangles", {5: kept})
+        assert all(a is b for a, b in zip(kept.rows, triangle_recurrence(6).rows))
+        assert triangle_recurrence(6) == ascending[5]
+
     def test_concurrent_callers_get_equal_triangles(self, monkeypatch):
         expected = {n: triangle_recurrence(n) for n in range(1, 31)}
-        monkeypatch.setattr(triangle, "_rows_cache", [(1,)])
         monkeypatch.setattr(triangle, "_triangles", {})
 
         def build(i):
@@ -248,9 +261,9 @@ class TestDefiningRelation:
             assert verify_defining_relation(N, 80).passed
 
     def test_perturbed_row_fails(self, monkeypatch):
-        rows = triangle._rows_up_to(3)
-        bad = rows[:2] + [(rows[2][0], rows[2][1] + 1, rows[2][2])]
-        monkeypatch.setattr(triangle, "_rows_up_to", lambda n_max: bad[:n_max])
+        rows = triangle_recurrence(3).rows
+        bad = rows[:2] + ((rows[2][0], rows[2][1] + 1, rows[2][2]),)
+        monkeypatch.setattr(triangle, "triangle_recurrence", lambda n_max: Triangle(bad[:n_max]))
         entry = verify_defining_relation(3, 16)
         assert not entry.passed
         assert not entry.residual.is_zero()
@@ -265,12 +278,14 @@ class TestSeriesRouteAgreement:
 
     @pytest.mark.parametrize("N", range(1, 9))
     def test_perturbed_rows_fail_with_equal_residuals(self, N, monkeypatch):
-        rows = triangle._rows_up_to(N)
+        rows = triangle_recurrence(N).rows
         for i, delta, order in product(range(N), (1, -3), (3 * N, 3 * N + 5, 40)):
             row = list(rows[-1])
             row[i] += delta
-            bad = rows[:-1] + [tuple(row)]
-            monkeypatch.setattr(triangle, "_rows_up_to", lambda n_max: bad[:n_max])
+            bad = rows[:-1] + (tuple(row),)
+            monkeypatch.setattr(
+                triangle, "triangle_recurrence", lambda n_max: Triangle(bad[:n_max])
+            )
             entry = verify_defining_relation(N, order)
             assert not entry.passed
             assert (entry.passed, entry.residual) == defining_relation_series(N, order)

@@ -336,14 +336,12 @@ class TestVandermondeCollapse:
 def _cold_caches(monkeypatch) -> None:
     """Empty, for this test only, every store of rows and sums the cells read."""
     for module, store in (
-        (families, "_gegenbauer"),
         (families, "_cache"),
         (verify, "_bases"),
         (verify, "_thm2_sums"),
     ):
         monkeypatch.setattr(module, store, {})
     verify._legendre_convolution.cache_clear()
-    verify._rhs_weights.cache_clear()
 
 
 def convolution_reference(f, g, n):
