@@ -26,6 +26,11 @@ u^(2N) D^(N+1) leaves the polynomial identity E_N = 0 in t, of degree <= 2N:
 
     E_N = 2^N N! u^(2N) - sum_{i=1..N} a_i(N) u^i P_i D^(N-i).
 
+In u and c = 1 - x^2, which are algebraically independent, D = u^2 + c
+and d/dt = -d/du.  So P_i is a homogeneous integer polynomial of weight i
+(u of weight 1, c of weight 2), and E_N one of weight 2N: the right side
+is a list of N+1 integers before it is mapped to t-coefficients, once.
+
 `verify_defining_relation` certifies it for one N.  It holds for every N by
 induction.  The series difference E_N u^(-2N) D^(-N-1), differentiated in t
 and divided by u, is the next one, so
@@ -48,7 +53,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import chain
 
 from chebident.exact import _require_int, double_factorial, falling_factorial
 from chebident.laurent import LaurentPoly
@@ -165,50 +169,65 @@ def a_closed(i: int, N: int) -> int:
     return int(total)
 
 
-def _taps(seq, m, taps):
-    """(c, k, seq[m - j]) for the (c, k, j) in ``taps`` with m - j inside ``seq``.
+def _p_rows(N: int):
+    """P_1..P_N of F^(i) = P_i / D^(i+1), in u = x - t and c = 1 - x^2.
 
-    Fed to `LaurentPoly.combination`, this is coefficient m of
-    sum c x^k t^j * seq, for a t-polynomial ``seq`` (a list indexed by
-    t-power).
+    D = u^2 + c and d/dt = -d/du, so P_i is homogeneous of weight i (u of
+    weight 1, c of weight 2): P_i[k] is the integer coefficient of
+    u^(i-2k) c^k.  In u-powers j, P_i = -P_{i-1}' D + 2i u P_{i-1} (' = d/du)
+    is the step P_i[j+1] += (2i-j) P_{i-1}[j], P_i[j-1] -= j P_{i-1}[j].
     """
-    return ((c, k, seq[m - j]) for c, k, j in taps if 0 <= m - j < len(seq))
-
-
-# D = 1 - 2xt + t^2 as (c, k, j) taps: c x^k t^j.
-_D_TAPS = ((1, 0, 0), (-2, 1, 1), (1, 0, 2))
+    P = [1]
+    for i in range(1, N + 1):
+        nxt = [0] * (i // 2 + 1)
+        for k, p in enumerate(P):
+            j = i - 1 - 2 * k
+            nxt[k] += (2 * i - j) * p
+            if j:
+                nxt[k + 1] -= j * p
+        P = nxt
+        yield P
 
 
 def _sides_defining_relation(N: int, order: int):
     """The two sides of E_N = 0 (see the module docstring) as (L', R', 1).
 
     L' and R' are exact t-polynomials, lists of x-coefficients indexed by
-    t-power, with nothing truncated: deg_t P_i <= i, and R', summed by
-    Horner in D, has deg_t <= 2i after step i.  Every coefficient is one
-    `LaurentPoly.combination` of monomial taps, so no series and no
-    polynomial product runs:
+    t-power, with nothing truncated.  The right side is first built in
+    u = x - t and c = 1 - x^2, where it is homogeneous of weight 2N: by
+    Horner in D = u^2 + c over the integer rows of `_p_rows`,
 
-        P_i[m] = (m+1) P_{i-1}[m+1] + 2(i-m) x P_{i-1}[m] + (m-1-2i) P_{i-1}[m-1]
-        R'_i[m] = R'_{i-1}[m] - 2x R'_{i-1}[m-1] + R'_{i-1}[m-2]
-                  + sum_j a_i(N) C(i,j) (-1)^j x^(i-j) P_i[m-j]
-        L'[m] = 2^N N! C(2N,m) (-1)^m x^(2N-m)
+        R~ = sum_i a_i(N) u^i P_i D^(N-i) = sum_s r_s u^(2N-2s) c^s,
+
+    with small integer lists and no polynomial in x.  It is mapped to
+    t-coefficients once, each one `LaurentPoly.combination` over a table of
+    (1 - x^2)^s, so no series and no polynomial product runs:
+
+        R'[m] = sum_s r_s C(2N-2s, m) (-1)^m x^(2N-2s-m) (1 - x^2)^s
+        L'[m] = 2^N N! C(2N, m) (-1)^m x^(2N-m)
+
+    u and c are algebraically independent, so R~ is the same polynomial as
+    the right side in t and x, and `verify._certify` compares it there.
     """
     row = triangle_recurrence(N).rows[N - 1]
-    P = [LaurentPoly.one()]
-    rhs: list = []
-    for i in range(1, N + 1):
-        P = [
-            LaurentPoly.combination(
-                _taps(P, m, ((m + 1, 0, -1), (2 * (i - m), 1, 0), (m - 1 - 2 * i, 0, 1)))
-            )
-            for m in range(i + 1)
-        ]
-        # a_i(N) (x-t)^i as taps.
-        x_t = [(row[i - 1] * math.comb(i, j) * (-1) ** j, i - j, j) for j in range(i + 1)]
-        rhs = [
-            LaurentPoly.combination(chain(_taps(rhs, m, _D_TAPS), _taps(P, m, x_t)))
-            for m in range(2 * i + 1)
-        ]
+    r: list = []
+    for a, P in zip(row, _p_rows(N)):
+        # r <- r D + a u^i P_i, indexed by c-power: D = u^2 + c keeps it or adds 1.
+        r = [same + up for same, up in zip(r + [0], [0] + r)]
+        for k, p in enumerate(P):
+            r[k] += a * p
+    c_powers = [
+        LaurentPoly({2 * q: math.comb(s, q) * (-1) ** q for q in range(s + 1)})
+        for s in range(N + 1)
+    ]
+    # math.comb(e, m) is 0 for m > e, and combination skips zero weights.
+    rhs = [
+        LaurentPoly.combination(
+            (math.comb(2 * (N - s), m) * (-1) ** m * r_s, 2 * (N - s) - m, c_powers[s])
+            for s, r_s in enumerate(r)
+        )
+        for m in range(2 * N + 1)
+    ]
     scale = 2**N * math.factorial(N)
     lhs = [
         LaurentPoly.x_power(2 * N - m, scale * math.comb(2 * N, m) * (-1) ** m)

@@ -6,9 +6,11 @@ Gegenbauer recurrence behind `family_polys`, and `series.gf_expand`, which
 expands q(t)^alpha (1 - 2xt + t^2)^(-lambda) from the explicit Gegenbauer
 sum and reads no family rows.
 
-The last tests are symbolic proofs: the induction step and base case of
-the defining relation for every N and lambda (see triangle.py), and the
-one-term Bessel form of a_i(N) for every N.
+The last tests pin the defining relation's integer P-rows in u = x - t,
+c = 1 - x^2 against sympy's t-derivatives of 1/D, and are symbolic
+proofs: the induction step and base case of the defining relation for
+every N and lambda (see triangle.py), and the one-term Bessel form of
+a_i(N) for every N.
 """
 
 import functools
@@ -18,6 +20,7 @@ import pytest
 
 from chebident.families import Family, FamilySpec, _rows, family_polys
 from chebident.series import gf_expand
+from chebident.triangle import _p_rows
 
 sympy = pytest.importorskip("sympy")
 
@@ -126,6 +129,15 @@ def test_chain_rule_derivatives():
     u, D_xt = X - T, 1 - 2 * X * T + T**2
     assert sympy.diff(u, T) == -1
     assert sympy.expand(sympy.diff(D_xt, T) + 2 * u) == 0
+
+
+def test_p_rows_are_the_derivatives_of_one_over_D():
+    # The builder's integer P-rows, in u = x - t and c = 1 - x^2, against
+    # sympy's own t-derivatives: d^i/dt^i (1/D) = P_i(x - t, 1 - x^2) / D^(i+1).
+    u, c, D_xt = X - T, 1 - X**2, 1 - 2 * X * T + T**2
+    for i, row in enumerate(_p_rows(8), 1):
+        P_i = sum(p * u ** (i - 2 * k) * c**k for k, p in enumerate(row))
+        assert sympy.cancel(sympy.diff(1 / D_xt, T, i) - P_i / D_xt ** (i + 1)) == 0, i
 
 
 def test_defining_relation_induction_step():

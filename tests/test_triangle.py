@@ -239,9 +239,26 @@ class TestDefiningRelation:
         with pytest.raises(ValueError, match=message):
             verify_defining_relation(N, 3 * N - 1)
 
-    @pytest.mark.parametrize("N", [1, 2, 3, 4, 12, 16, 24])
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 12, 16, 24, 32, 48])
     def test_passes_at_degree_bound(self, N):
         assert verify_defining_relation(N, 3 * N).passed
+
+    def test_combinations_grow_linearly_in_N(self, monkeypatch):
+        # The right side is built on integer lists in u = x - t and
+        # c = 1 - x^2 and mapped to t-coefficients once, so a cell makes
+        # O(N) polynomial combinations, not one per (P_i, t-power).
+        combination = LaurentPoly.combination.__func__
+        calls = []
+
+        def counted(cls, items):
+            calls.append(None)
+            return combination(cls, items)
+
+        monkeypatch.setattr(LaurentPoly, "combination", classmethod(counted))
+        for N in range(1, 17):
+            calls.clear()
+            assert verify_defining_relation(N, 3 * N).passed
+            assert len(calls) <= 3 * N + 1, (N, len(calls))
 
     def test_work_does_not_depend_on_order(self):
         # The certificate is a degree-2N polynomial identity; order only
@@ -276,10 +293,11 @@ class TestSeriesRouteAgreement:
             assert verify_defining_relation(N, order).passed
             assert defining_relation_series(N, order) == (True, LaurentPoly.zero())
 
-    @pytest.mark.parametrize("N", range(1, 9))
+    @pytest.mark.parametrize("N", [*range(1, 9), 12, 16])
     def test_perturbed_rows_fail_with_equal_residuals(self, N, monkeypatch):
         rows = triangle_recurrence(N).rows
-        for i, delta, order in product(range(N), (1, -3), (3 * N, 3 * N + 5, 40)):
+        orders = (3 * N, 3 * N + 5, 40) if N <= 8 else (3 * N,)
+        for i, delta, order in product(range(N), (1, -3), orders):
             row = list(rows[-1])
             row[i] += delta
             bad = rows[:-1] + (tuple(row),)
@@ -289,6 +307,38 @@ class TestSeriesRouteAgreement:
             entry = verify_defining_relation(N, order)
             assert not entry.passed
             assert (entry.passed, entry.residual) == defining_relation_series(N, order)
+
+
+def even_falling(k, N):
+    """k (k-2) ... (k-2N+2)."""
+    return math.prod(k - 2 * j for j in range(N))
+
+
+def connection_sum(row, k):
+    """sum_i (-1)^(N-i) a_i(N) (k)_i for the row [a_1(N), ..., a_N(N)]."""
+    N = len(row)
+    return sum((-1) ** (N - i) * a * math.perm(k, i) for i, a in enumerate(row, 1))
+
+
+class TestConnectionCoefficients:
+    # With u = x - t the relation is the operator identity
+    # (u^-1 d/dt)^N f = sum_i a_i(N) u^(i-2N) d^i f / dt^i for any f; on
+    # f = u^k, with d/dt = -d/du, it reads
+    # k (k-2) ... (k-2N+2) = sum_i (-1)^(N-i) a_i(N) (k)_i.  Both sides have
+    # degree N in k, so k = 0..N decides it.  Integers only: no polynomial
+    # and no code of either route that builds the relation's sides.
+    def test_holds_up_to_N_60(self):
+        for N, row in enumerate(triangle_recurrence(60).rows, 1):
+            for k in range(N + 1):
+                assert even_falling(k, N) == connection_sum(row, k), (N, k)
+
+    @pytest.mark.parametrize("N", range(1, 9))
+    def test_perturbed_entry_breaks_it(self, N):
+        row = triangle_recurrence(N).rows[-1]
+        for i, delta in product(range(N), (1, -3)):
+            bad = list(row)
+            bad[i] += delta
+            assert any(even_falling(k, N) != connection_sum(bad, k) for k in range(N + 1))
 
 
 # Each public function that takes an index, its valid arguments, and the
