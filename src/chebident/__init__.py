@@ -11,27 +11,18 @@ The package computes, in exact rational arithmetic:
     F = 1/(1 - 2tx + t^2);
   * symbolic certification (exact zero residual, no tolerances) of a
     catalog of convolution identities linking all of the above.
+
+The package is the certifier only.  The closed forms and textbook
+operations that the tests compare it against (the triangle's closed forms,
+the explicit T_n, the differential equations of T and U, a parser for the
+rendered text) live with the tests, in tests/_oracles.py.
 """
 
-from chebident.exact import binomial, double_factorial, falling_factorial
-from chebident.families import (
-    Family,
-    FamilySpec,
-    explicit_T,
-    family_poly,
-    family_polys,
-    ode_residual,
-)
+from chebident.families import Family, FamilySpec, family_poly, family_polys
 from chebident.laurent import LaurentPoly
 from chebident.report import ReportEntry, VerificationReport
 from chebident.series import TruncatedSeries, gf_expand
-from chebident.triangle import (
-    Triangle,
-    a1_closed,
-    a_closed,
-    triangle_recurrence,
-    verify_defining_relation,
-)
+from chebident.triangle import Triangle, triangle_recurrence, verify_defining_relation
 from chebident.verify import (
     IdentityId,
     run_suite,
@@ -56,16 +47,9 @@ __all__ = [
     "Triangle",
     "TruncatedSeries",
     "VerificationReport",
-    "a1_closed",
-    "a_closed",
-    "binomial",
-    "double_factorial",
-    "explicit_T",
-    "falling_factorial",
     "family_poly",
     "family_polys",
     "gf_expand",
-    "ode_residual",
     "run_suite",
     "triangle_recurrence",
     "verify_U_from_Legendre",

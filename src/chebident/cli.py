@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, output: str | None) -> None:
-    if output:
+    if output is not None:
         try:
             with open(output, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)

@@ -52,18 +52,11 @@ from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
+from math import comb
 
-from chebident.exact import _require_int, binomial
-from chebident.laurent import LaurentPoly
+from chebident.laurent import LaurentPoly, _require_int
 
-__all__ = [
-    "Family",
-    "FamilySpec",
-    "family_poly",
-    "family_polys",
-    "explicit_T",
-    "ode_residual",
-]
+__all__ = ["Family", "FamilySpec", "family_poly", "family_polys"]
 
 
 class Family(str, Enum):
@@ -96,8 +89,6 @@ class FamilySpec(namedtuple("FamilySpec", "kind alpha")):
         # namedtuple's _make (and so _replace) skips __new__; keep the checks.
         return cls(*iterable)
 
-
-_X = LaurentPoly.x_power(1)
 
 # kind -> (c, e, d, h): numerator q(t) = 1 + c x^e t^d, lambda = alpha / h.
 # Only `_scale` reads W's entry: W's rows are V's reflected.
@@ -156,7 +147,7 @@ def _scale(kind: Family, alpha: int) -> int:
 @lru_cache(maxsize=None)
 def _taps(alpha: int, c: int, e: int, d: int) -> tuple:
     """(coefficient, x-shift, t-lag) taps of q(t)^alpha for q = 1 + c x^e t^d."""
-    return tuple((binomial(alpha, k) * c**k, e * k, d * k) for k in range(alpha + 1))
+    return tuple((comb(alpha, k) * c**k, e * k, d * k) for k in range(alpha + 1))
 
 
 def _rows(kind: Family, alpha: int, n: int) -> list[LaurentPoly]:
@@ -235,37 +226,3 @@ def family_polys(spec: FamilySpec, n_max: int) -> list[LaurentPoly]:
     s = _scale(spec.kind, spec.alpha)
     rows = _rows(spec.kind, spec.alpha, n_max)
     return [_divided(rows[m], s**m) for m in range(n_max + 1)]
-
-
-def explicit_T(n: int) -> LaurentPoly:
-    """Closed form for the classical first-kind polynomial:
-
-    T_n(x) = sum_{m=0..floor(n/2)} C(n, 2m) x^(n-2m) (x^2-1)^m
-    """
-    _require_int("n", n)
-    if n < 0:
-        raise ValueError(f"polynomial index must be >= 0, got {n}")
-    x2m1 = LaurentPoly({2: 1, 0: -1})
-    total = LaurentPoly.zero()
-    for m in range(n // 2 + 1):
-        total = total + binomial(n, 2 * m) * (x2m1**m).shift(n - 2 * m)
-    return total
-
-
-def ode_residual(kind: Family, n: int) -> LaurentPoly:
-    """Residual of the matching second-order differential equation.
-
-    T_classical solves (1-x^2) y'' - x y' + n^2 y = 0 and U solves
-    (1-x^2) y'' - 3x y' + n(n+2) y = 0; the residual is identically zero
-    when the recurrences are right.
-    """
-    kind = Family(kind)
-    if kind not in (Family.T_CLASSICAL, Family.U):
-        raise ValueError(f"no differential-equation check for family {kind.value}")
-    y = family_poly(FamilySpec(kind), n)
-    y1 = y.derivative()
-    y2 = y1.derivative()
-    one_minus_x2 = LaurentPoly({0: 1, 2: -1})
-    if kind is Family.T_CLASSICAL:
-        return one_minus_x2 * y2 - _X * y1 + (n * n) * y
-    return one_minus_x2 * y2 - 3 * (_X * y1) + (n * (n + 2)) * y

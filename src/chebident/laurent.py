@@ -11,13 +11,17 @@ instances are safe to share between threads.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 from chebident import _backend as _k
-from chebident.exact import _require_int
 
 __all__ = ["LaurentPoly"]
+
+
+def _require_int(name: str, value) -> None:
+    """Reject bools and non-integers before they reach range() or a recurrence."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
 
 def _as_coeff(c):
@@ -32,15 +36,6 @@ def _as_coeff(c):
 def _is_scalar(c) -> bool:
     """Whether c is an int or Fraction scalar; a bool is not (True * p would be p)."""
     return isinstance(c, (int, Fraction)) and not isinstance(c, bool)
-
-
-_TERM_RE = re.compile(
-    r"""^(?:
-        (?P<num>\d+)(?:/(?P<den>\d+))?(?:\*(?P<xa>x(?:\^(?P<ea>-?\d+))?))?
-        | (?P<xb>x(?:\^(?P<eb>-?\d+))?)
-    )$""",
-    re.VERBOSE,
-)
 
 
 class LaurentPoly:
@@ -153,33 +148,6 @@ class LaurentPoly:
             return LaurentPoly._raw(_k.scale_terms(self._terms, Fraction(1) / other))
         return NotImplemented
 
-    def __pow__(self, k: int):
-        _require_int("k", k)
-        if k < 0:
-            raise ValueError(f"polynomial power must be an integer >= 0, got {k}")
-        result = LaurentPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by x^k: every exponent increases by k."""
-        _require_int("k", k)
-        if k == 0:
-            return self
-        return LaurentPoly._raw({e + k: c for e, c in self._terms.items()})
-
-    def derivative(self) -> "LaurentPoly":
-        """Termwise d/dx: c*x^e maps to c*e*x^(e-1)."""
-        return LaurentPoly._raw(
-            {e - 1: c * e for e, c in self._terms.items() if e != 0}
-        )
-
     # -- equality / hashing --------------------------------------------------
 
     def __eq__(self, other):
@@ -219,42 +187,6 @@ class LaurentPoly:
     def __repr__(self):
         return f"LaurentPoly({self!s})"
 
-    @classmethod
-    def parse(cls, text: str) -> "LaurentPoly":
-        """Parse the canonical text rendering back into a polynomial."""
-        s = text.strip()
-        if s == "0":
-            return cls.zero()
-        sign = 1
-        if s.startswith("-"):
-            sign = -1
-            s = s[1:].lstrip()
-        chunks = re.split(r"\s([+-])\s", s)
-        terms: dict = {}
-        pending_sign = sign
-        for i, chunk in enumerate(chunks):
-            if i % 2 == 1:
-                pending_sign = 1 if chunk == "+" else -1
-                continue
-            m = _TERM_RE.match(chunk.strip())
-            if not m:
-                raise ValueError(f"cannot parse term {chunk!r}")
-            if m.group("xb") is not None:
-                num, den = 1, 1
-                exp = int(m.group("eb")) if m.group("eb") else 1
-            else:
-                num = int(m.group("num"))
-                den = int(m.group("den")) if m.group("den") else 1
-                if den == 0:
-                    raise ValueError(f"zero denominator in term {chunk.strip()!r}")
-                if m.group("xa") is not None:
-                    exp = int(m.group("ea")) if m.group("ea") else 1
-                else:
-                    exp = 0
-            coeff = Fraction(pending_sign * num, den)
-            terms[exp] = terms.get(exp, 0) + coeff
-        return cls(terms)
-
     def to_triples(self) -> list:
         """[exponent, numerator, denominator] triples, descending exponents."""
         out = []
@@ -262,32 +194,3 @@ class LaurentPoly:
             num, den = self._terms[e].as_integer_ratio()
             out.append([e, num, den])
         return out
-
-    @classmethod
-    def from_triples(cls, triples) -> "LaurentPoly":
-        """Inverse of `to_triples`.  Each field is an int or a decimal-integer
-        string (the CLI's JSON writes numerators and denominators as strings);
-        anything else raises TypeError, and a zero denominator ValueError."""
-        terms: dict = {}
-        for triple in triples:
-            if len(triple) != 3:
-                raise ValueError(f"expected [exponent, numerator, denominator], got {triple!r}")
-            e, num, den = (_triple_int(v, triple) for v in triple)
-            if den == 0:
-                raise ValueError(f"zero denominator in triple {triple!r}")
-            terms[e] = terms.get(e, 0) + Fraction(num, den)
-        return cls(terms)
-
-
-_DECIMAL_INT = re.compile(r"-?[0-9]+")
-
-
-def _triple_int(value, triple) -> int:
-    """One field of a triple as an int; nothing is rounded or coerced."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str) and _DECIMAL_INT.fullmatch(value):
-        return int(value)
-    raise TypeError(
-        f"triple fields must be int or decimal-integer str, got {value!r} in {triple!r}"
-    )

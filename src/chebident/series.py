@@ -25,38 +25,18 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from chebident.exact import _require_int
 from chebident.families import Family
-from chebident.laurent import LaurentPoly
+from chebident.laurent import LaurentPoly, _require_int
 
 __all__ = ["TruncatedSeries", "gf_expand"]
 
 
-def _as_poly(value) -> LaurentPoly:
-    if isinstance(value, LaurentPoly):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return LaurentPoly.constant(value)
-    raise TypeError(f"series coefficients must be LaurentPoly, got {type(value).__name__}")
-
-
 class TruncatedSeries:
-    """Formal power series in t kept to a fixed order, coefficients in x."""
+    """Formal power series in t kept to a fixed order, coefficients in x.
+
+    Only `gf_expand` builds one; there is no public constructor."""
 
     __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs, order: int | None = None):
-        polys = [_as_poly(c) for c in coeffs]
-        if order is None:
-            if not polys:
-                raise ValueError("a series needs an order or at least one coefficient")
-            order = len(polys) - 1
-        _require_int("order", order)
-        if order < 0:
-            raise ValueError(f"series order must be >= 0, got {order}")
-        if len(polys) < order + 1:
-            polys.extend([LaurentPoly.zero()] * (order + 1 - len(polys)))
-        self._coeffs = tuple(polys[: order + 1])
 
     @classmethod
     def _raw(cls, coeffs: tuple) -> "TruncatedSeries":
@@ -78,14 +58,6 @@ class TruncatedSeries:
         if not 0 <= m <= self.order:
             raise IndexError(f"coefficient {m} outside truncation order {self.order}")
         return self._coeffs[m]
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        _require_int("order", order)
-        if order < 0:
-            raise ValueError(f"series order must be >= 0, got {order}")
-        if order > self.order:
-            raise ValueError(f"cannot extend a series from order {self.order} to {order}")
-        return TruncatedSeries._raw(self._coeffs[: order + 1])
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):

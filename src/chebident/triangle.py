@@ -17,8 +17,9 @@ seeded by a_1(1) = 1.  In one term,
 
 with n = N-1 and k = N-i: the coefficient triangle of the Bessel
 polynomials (Grosswald, Bessel Polynomials, LNM 698; OEIS A001498).  The
-recurrence is normative here; the closed forms (`a1_closed`, `a_closed`)
-are independent cross-checks.
+recurrence is normative here.  The closed forms are independent
+cross-checks and live with the tests, as `a1_closed` and `a_closed` in
+tests/_oracles.py.
 
 With D = 1 - 2xt + t^2, u = x - t and F^(i) = P_i / D^(i+1), where P_0 = 1
 and P_{i+1} = P_i' D + 2(i+1) u P_i (' = d/dt), multiplying the relation by
@@ -52,18 +53,10 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 
-from chebident.exact import _require_int, double_factorial, falling_factorial
-from chebident.laurent import LaurentPoly
+from chebident.laurent import LaurentPoly, _require_int
 
-__all__ = [
-    "Triangle",
-    "triangle_recurrence",
-    "a1_closed",
-    "a_closed",
-    "verify_defining_relation",
-]
+__all__ = ["Triangle", "triangle_recurrence", "verify_defining_relation"]
 
 
 class Triangle(namedtuple("Triangle", "rows")):
@@ -118,55 +111,6 @@ def triangle_recurrence(n_max: int) -> Triangle:
         # Threads that race here build equal triangles; setdefault keeps the first.
         tri = _triangles.setdefault(n_max, Triangle(tuple(rows)))
     return tri
-
-
-def a1_closed(N: int) -> int:
-    """Closed form a_1(N) = (2N-3)!!, with (-1)!! = 1."""
-    _require_int("N", N)
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    return double_factorial(2 * N - 3)
-
-
-def _bounded_tuples(nvars: int, limit: int):
-    """All tuples of nvars nonnegative integers with sum <= limit."""
-    if nvars == 0:
-        yield ()
-        return
-    for head in range(limit + 1):
-        for tail in _bounded_tuples(nvars - 1, limit - head):
-            yield (head,) + tail
-
-
-def a_closed(i: int, N: int) -> int:
-    """Nested-sum closed form for a_i(N), 2 <= i <= N.
-
-    a_i(N) = sum over k_1..k_{i-1} >= 0 with sum <= N-i of
-        2^K * prod_{j=2..i} (N - sum_{l=j..i-1} k_l - (2i+2-j)/2)_{k_{j-1}}
-            * (2(N - i - K) - 1)!!
-    with K = sum k_j.  The falling factorials have half-integer bases for
-    odd j, so the sum is accumulated in exact rationals; it must collapse
-    to a positive integer, anything else signals an index-pattern error.
-    """
-    _require_int("i", i)
-    _require_int("N", N)
-    if not 2 <= i <= N:
-        raise ValueError(f"need 2 <= i <= N, got i={i}, N={N}")
-    total = Fraction(0)
-    for ks in _bounded_tuples(i - 1, N - i):
-        K = sum(ks)
-        term = Fraction(2**K)
-        for j in range(2, i + 1):
-            tail = sum(ks[l - 1] for l in range(j, i))
-            base = N - tail - Fraction(2 * i + 2 - j, 2)
-            term *= falling_factorial(base, ks[j - 2])
-        term *= double_factorial(2 * (N - i - K) - 1)
-        total += term
-    if total.denominator != 1 or total <= 0:
-        raise ArithmeticError(
-            f"closed form for a_{i}({N}) evaluated to {total}, expected a positive integer"
-        )
-    return int(total)
 
 
 def _p_rows(N: int):

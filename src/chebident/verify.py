@@ -87,9 +87,8 @@ from enum import Enum
 from functools import lru_cache, partial
 
 from chebident import _backend as _k
-from chebident.exact import _require_int
 from chebident.families import Family, _divide_exact, _rows, _scale
-from chebident.laurent import LaurentPoly
+from chebident.laurent import LaurentPoly, _require_int
 from chebident.report import ReportEntry, VerificationReport
 from chebident.triangle import _sides_defining_relation, triangle_recurrence
 

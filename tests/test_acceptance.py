@@ -14,9 +14,9 @@ from contextlib import contextmanager
 import pytest
 
 from chebident.cli import run
-from chebident.families import Family, FamilySpec, explicit_T, family_poly, ode_residual
+from chebident.families import Family, FamilySpec, family_poly
 from chebident.series import gf_expand
-from chebident.triangle import a1_closed, a_closed, triangle_recurrence, verify_defining_relation
+from chebident.triangle import triangle_recurrence, verify_defining_relation
 from chebident.verify import (
     verify_U_from_Legendre,
     verify_cor3,
@@ -27,6 +27,8 @@ from chebident.verify import (
     verify_thm6,
     verify_thm7,
 )
+
+from _oracles import a1_closed, a_closed, explicit_T, ode_residual
 
 THEOREM_IDS = {"thm2", "cor3", "cor4_reconstructed", "thm5", "thm6", "thm7"}
 

@@ -51,16 +51,18 @@ class TestPoly:
 
 class TestOutputErrors:
     @pytest.mark.parametrize(
-        "argv",
+        "argv,empty",
         [
-            ["poly", "--family", "U", "--n", "2"],
-            ["verify", "thm6", "--n-max", "1", "--N-max", "1"],
+            (["poly", "--family", "U", "--n", "2"], False),
+            (["verify", "thm6", "--n-max", "1", "--N-max", "1"], False),
+            # --output "$OUT" with OUT unset: an empty path, not stdout.
+            (["poly", "--family", "U", "--n", "2"], True),
         ],
-        ids=["poly", "verify"],
+        ids=["poly", "verify", "poly-empty-path"],
     )
-    def test_unwritable_output_exits_2(self, tmp_path, capsys, argv):
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, argv, empty):
         path = tmp_path / "missing" / "out.txt"
-        code = run(argv + ["--output", str(path)])
+        code = run(argv + ["--output", "" if empty else str(path)])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""

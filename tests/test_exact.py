@@ -1,49 +1,16 @@
+"""The exact scalars of tests/_oracles.py, and the rationals they run on."""
+
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from chebident.exact import binomial, double_factorial, falling_factorial
+from _oracles import double_factorial, falling_factorial
 
 rationals = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=12
 )
-
-
-class TestBinomial:
-    @pytest.mark.parametrize(
-        "top,k,expected",
-        [(4, 2, 6), (0, 0, 1), (7, 0, 1), (3, 5, 0), (10, 10, 1), (12, 5, 792)],
-    )
-    def test_values(self, top, k, expected):
-        assert binomial(top, k) == expected
-
-    @pytest.mark.parametrize("n", [0, 1, 5, 40])
-    def test_k_zero(self, n):
-        assert binomial(n, 0) == 1
-
-    def test_rejects_negative_top(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
-
-    def test_rejects_negative_k(self):
-        with pytest.raises(ValueError):
-            binomial(3, -2)
-
-    @pytest.mark.parametrize(
-        "top,k",
-        [(5, True), (True, 1), (5, 2.0), (5.0, 2), (5, Fraction(2)), ("5", 2)],
-        ids=["k-bool", "top-bool", "k-float", "top-float", "k-fraction", "top-str"],
-    )
-    def test_rejects_non_int(self, top, k):
-        with pytest.raises(TypeError, match="must be an int"):
-            binomial(top, k)
-
-    def test_pascal_identity(self):
-        for a in range(1, 21):
-            for k in range(1, a + 1):
-                assert binomial(a, k) == binomial(a - 1, k - 1) + binomial(a - 1, k)
 
 
 class TestDoubleFactorial:

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from chebident import _backend
 from chebident.laurent import LaurentPoly
 
+from _oracles import derivative, from_triples, parse, power, shift
+
 X = LaurentPoly.x_power(1)
 
 
@@ -58,21 +60,21 @@ class TestBasics:
         assert p * Fraction(1, 3) == lp({2: 1, 0: -2})
 
     def test_shift(self):
-        assert lp({2: 1, 0: 1}).shift(-3) == lp({-1: 1, -3: 1})
+        assert shift(lp({2: 1, 0: 1}), -3) == lp({-1: 1, -3: 1})
         p = lp({4: 2, -2: 5})
-        assert p.shift(0) is p
-        assert p.shift(7).shift(-7) == p
+        assert shift(p, 0) is p
+        assert shift(shift(p, 7), -7) == p
 
     def test_pow(self):
-        assert (X + LaurentPoly.one()) ** 2 == lp({2: 1, 1: 2, 0: 1})
-        assert lp({1: 2}) ** 0 == LaurentPoly.one()
+        assert power(X + LaurentPoly.one(), 2) == lp({2: 1, 1: 2, 0: 1})
+        assert power(lp({1: 2}), 0) == LaurentPoly.one()
         with pytest.raises(ValueError, match=r"^polynomial power must be"):
-            X ** -1
+            power(X, -1)
 
     def test_derivative(self):
-        assert lp({3: 1}).derivative() == lp({2: 3})
-        assert lp({-1: 1}).derivative() == lp({-2: -1})
-        assert LaurentPoly.constant(9).derivative() == LaurentPoly.zero()
+        assert derivative(lp({3: 1})) == lp({2: 3})
+        assert derivative(lp({-1: 1})) == lp({-2: -1})
+        assert derivative(LaurentPoly.constant(9)) == LaurentPoly.zero()
 
     def test_is_polynomial(self):
         assert lp({2: 4, 0: -1}).is_polynomial()
@@ -106,7 +108,7 @@ class TestCanonicalForm:
     def test_scalar_arithmetic_rejects_bools(self, op, b):
         # p * True used to be p and p * False 0, while lp({0: True}) raised.
         with pytest.raises(TypeError):
-            op(LaurentPoly.parse("2*x - 1"), b)
+            op(parse("2*x - 1"), b)
 
     @pytest.mark.parametrize("e", [True, 1.5], ids=["bool", "float"])
     def test_constructor_rejects_non_int_exponents(self, e):
@@ -137,20 +139,20 @@ class TestCanonicalForm:
         "text", ["4*x^2 - 1", "1/2*x^-3", "0", "x", "-x + x^-2", "x^5 + 2*x + 1"]
     )
     def test_parse_known_strings(self, text):
-        assert str(LaurentPoly.parse(text)) == text
+        assert str(parse(text)) == text
 
     @given(polys)
     def test_parse_round_trip(self, p):
-        assert LaurentPoly.parse(str(p)) == p
+        assert parse(str(p)) == p
 
     @given(polys)
     def test_triples_round_trip(self, p):
-        assert LaurentPoly.from_triples(p.to_triples()) == p
+        assert from_triples(p.to_triples()) == p
 
     @given(polys)
     def test_triples_round_trip_through_cli_json_strings(self, p):
         triples = [[e, str(num), str(den)] for e, num, den in p.to_triples()]
-        assert LaurentPoly.from_triples(triples) == p
+        assert from_triples(triples) == p
 
     @pytest.mark.parametrize(
         "triple",
@@ -162,27 +164,27 @@ class TestCanonicalForm:
     def test_triples_reject_non_integers(self, triple):
         # Nothing is rounded: 1.9 used to truncate to 1 and True to count as 1.
         with pytest.raises(TypeError, match=re.escape(repr(triple))):
-            LaurentPoly.from_triples([[0, 1, 1], triple])
+            from_triples([[0, 1, 1], triple])
 
     @pytest.mark.parametrize("triple", [[1, 1, 0], [1, "3", "0"], [2, "0", "-0"]])
     def test_triples_reject_zero_denominator(self, triple):
         message = "zero denominator in triple " + re.escape(repr(triple))
         with pytest.raises(ValueError, match=message):
-            LaurentPoly.from_triples([triple])
+            from_triples([triple])
 
     @pytest.mark.parametrize("triple", [[1, 2], [1, 2, 3, 4]])
     def test_triples_reject_wrong_length(self, triple):
         with pytest.raises(ValueError, match=re.escape(repr(triple))):
-            LaurentPoly.from_triples([triple])
+            from_triples([triple])
 
     def test_triples_sum_repeated_exponents(self):
-        assert LaurentPoly.from_triples([[2, "-3", "4"], [2, 1, 4], [0, 0, 5]]) == lp(
+        assert from_triples([[2, "-3", "4"], [2, 1, 4], [0, 0, 5]]) == lp(
             {2: Fraction(-1, 2)}
         )
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
-            LaurentPoly.parse("x ** 2")
+            parse("x ** 2")
 
     @pytest.mark.parametrize(
         "text,term", [("1/0*x", "1/0*x"), ("x^2 - 3/0", "3/0"), ("-1/0", "1/0")]
@@ -191,7 +193,7 @@ class TestCanonicalForm:
         # As in from_triples: a ValueError naming the term, not a bare
         # ZeroDivisionError from Fraction.
         with pytest.raises(ValueError, match=re.escape(f"zero denominator in term {term!r}")):
-            LaurentPoly.parse(text)
+            parse(text)
 
 
 class TestRingAxioms:
@@ -221,7 +223,7 @@ class TestRingAxioms:
 
     @given(polys, st.integers(-5, 5))
     def test_shift_matches_monomial_mul(self, p, k):
-        assert p.shift(k) == p * LaurentPoly.x_power(k)
+        assert shift(p, k) == p * LaurentPoly.x_power(k)
 
 
 weighted_items = st.lists(st.tuples(coeffs, st.integers(-5, 5), polys), max_size=6)
@@ -232,7 +234,7 @@ class TestCombination:
     def test_matches_naive_sum(self, items):
         naive = LaurentPoly.zero()
         for c, k, p in items:
-            naive = naive + c * p.shift(k)
+            naive = naive + c * shift(p, k)
         assert LaurentPoly.combination(items) == naive
 
     @given(weighted_items)
@@ -243,11 +245,11 @@ class TestCombination:
     def test_zero_weights_are_skipped(self):
         p = lp({2: 3, -1: Fraction(1, 2)})
         assert LaurentPoly.combination([(0, 4, p), (Fraction(0), 1, p)]).is_zero()
-        assert LaurentPoly.combination([(0, 0, p), (2, 1, p)]) == 2 * p.shift(1)
+        assert LaurentPoly.combination([(0, 0, p), (2, 1, p)]) == 2 * shift(p, 1)
 
     def test_total_cancellation(self):
         p = lp({3: Fraction(2, 3), 0: -5})
-        q = p.shift(-2)
+        q = shift(p, -2)
         result = LaurentPoly.combination(
             [(Fraction(3, 2), 1, q), (Fraction(-1, 2), -1, p), (-1, -1, p)]
         )
@@ -293,7 +295,7 @@ class TestKernels:
             _backend.iadd_scaled_shifted(acc, b, 3, -2)
             pruned = _backend.prune_zeros(acc)
             assert all(pruned.values())
-            assert lp(pruned) == lp(a) + 3 * lp(b).shift(-2)
+            assert lp(pruned) == lp(a) + 3 * shift(lp(b), -2)
             acc = dict(a)
             _backend.iadd_mul(acc, b, a)
             pruned = _backend.prune_zeros(acc)

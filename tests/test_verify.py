@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chebident import families, verify
-from chebident.exact import binomial, falling_factorial
 from chebident.families import Family, FamilySpec, family_poly, family_polys
 from chebident.laurent import LaurentPoly
 from chebident.triangle import Triangle, triangle_recurrence, verify_defining_relation
@@ -32,6 +31,8 @@ from chebident.verify import (
     verify_thm7,
 )
 
+from _oracles import falling_factorial, shift
+
 ALL_IDS = list(IdentityId)
 
 
@@ -52,7 +53,7 @@ class TestCompositions:
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 15, 40])
     def test_count_and_uniqueness(self, n):
         triples = compositions3(n)
-        assert len(triples) == binomial(n + 2, 2)
+        assert len(triples) == math.comb(n + 2, 2)
         assert len(set(triples)) == len(triples)
         assert all(m + s + p == n and min(m, s, p) >= 0 for m, s, p in triples)
 
@@ -199,9 +200,9 @@ def thm2_rhs_per_term(n, N, base):
     for i in range(1, N + 1):
         ai = row[i - 1]
         for l in range(n + 1):
-            c = ai * binomial(2 * N + n - l - i - 1, n - l) * falling_factorial(l + i, i)
+            c = ai * math.comb(2 * N + n - l - i - 1, n - l) * falling_factorial(l + i, i)
             if c:
-                total = total + c * base[l + i].shift(i + l - 2 * N - n)
+                total = total + c * shift(base[l + i], i + l - 2 * N - n)
     return _prefactor(N) * total
 
 
@@ -215,12 +216,12 @@ def triple_sum_per_term(n, N, base, inner_sign, outer_sign):
             if outer_sign and (i - l) % 2:
                 pref = -pref
             for m, s, p in compositions3(n):
-                c = pref * binomial(2 * N + m - i - 1, m) * binomial(i - l + s, s)
+                c = pref * math.comb(2 * N + m - i - 1, m) * math.comb(i - l + s, s)
                 c *= falling_factorial(p + l, l)
                 if inner_sign and s % 2:
                     c = -c
                 if c:
-                    total = total + c * base[p + l].shift(i - 2 * N - m)
+                    total = total + c * shift(base[p + l], i - 2 * N - m)
     return total
 
 
@@ -230,11 +231,11 @@ def triple_sum_grouped(n, N, base, even, odd):
     coef: dict = {}
     for i in range(1, N + 1):
         ai = row[i - 1]
-        outer = [binomial(2 * N + m - i - 1, m) for m in range(n + 1)]
+        outer = [math.comb(2 * N + m - i - 1, m) for m in range(n + 1)]
         for l in range(i + 1):
             pref = ai * (math.factorial(i) // math.factorial(l))
             inner = [
-                (odd if (i - l + s) % 2 else even) * binomial(i - l + s, s)
+                (odd if (i - l + s) % 2 else even) * math.comb(i - l + s, s)
                 for s in range(n + 1)
             ]
             fall = [falling_factorial(p + l, l) for p in range(n + 1)]
@@ -248,7 +249,7 @@ def triple_sum_grouped(n, N, base, even, odd):
 def thm7_lhs_weights_by_compositions(n, N):
     weights: dict = {}
     for s, m, p in compositions3(n):
-        weights[p] = weights.get(p, 0) + (-1) ** m * binomial(N + s, s) * binomial(m + N, m)
+        weights[p] = weights.get(p, 0) + (-1) ** m * math.comb(N + s, s) * math.comb(m + N, m)
     return {p: c for p, c in weights.items() if c}
 
 
@@ -310,7 +311,7 @@ class TestVandermondeCollapse:
         # (1-t)^(-N-1) (1+t)^(-N-1) = (1-t^2)^(-N-1)
         for N in range(1, 9):
             for n in range(33):
-                collapsed = {n - 2 * j: binomial(N + j, N) for j in range(n // 2 + 1)}
+                collapsed = {n - 2 * j: math.comb(N + j, N) for j in range(n // 2 + 1)}
                 assert thm7_lhs_weights_by_compositions(n, N) == collapsed
 
     @pytest.mark.parametrize("kind", [Family.T_GF, Family.T_CLASSICAL])
