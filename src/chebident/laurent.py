@@ -69,11 +69,6 @@ class LaurentPoly:
         return cls._raw({0: 1})
 
     @classmethod
-    def constant(cls, c) -> "LaurentPoly":
-        c = _as_coeff(c)
-        return cls._raw({0: c} if c else {})
-
-    @classmethod
     def x_power(cls, e: int, c=1) -> "LaurentPoly":
         """c * x^e."""
         _require_int("e", e)

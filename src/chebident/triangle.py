@@ -29,8 +29,16 @@ u^(2N) D^(N+1) leaves the polynomial identity E_N = 0 in t, of degree <= 2N:
 
 In u and c = 1 - x^2, which are algebraically independent, D = u^2 + c
 and d/dt = -d/du.  So P_i is a homogeneous integer polynomial of weight i
-(u of weight 1, c of weight 2), and E_N one of weight 2N: the right side
-is a list of N+1 integers before it is mapped to t-coefficients, once.
+(u of weight 1, c of weight 2), with the closed form
+P_i[k] = i! (-1)^k C(i+1, 2k+1) on u^(i-2k) c^k, and E_N one of weight 2N:
+E_N = sum_{s=0..N} e_s u^(2N-2s) c^s, N+1 integers.
+
+It is certified at t = 0 alone.  There u = x and c = 1 - x^2, so with
+y = x^2 the t^0 coefficient of E_N is sum_s e_s y^(N-s) (1-y)^s: the e_s
+in the Bernstein basis of degree N in y, whose N+1 polynomials are
+linearly independent.  So that coefficient is zero exactly when every e_s
+is, that is when E_N = 0, and a failing E_N always has its lowest nonzero
+t-coefficient at t^0.
 
 `verify_defining_relation` certifies it for one N.  It holds for every N by
 induction.  The series difference E_N u^(-2N) D^(-N-1), differentiated in t
@@ -118,40 +126,33 @@ def _p_rows(N: int):
 
     D = u^2 + c and d/dt = -d/du, so P_i is homogeneous of weight i (u of
     weight 1, c of weight 2): P_i[k] is the integer coefficient of
-    u^(i-2k) c^k.  In u-powers j, P_i = -P_{i-1}' D + 2i u P_{i-1} (' = d/du)
-    is the step P_i[j+1] += (2i-j) P_{i-1}[j], P_i[j-1] -= j P_{i-1}[j].
+    u^(i-2k) c^k.  With c = b^2, 1/D is the imaginary part of
+    1/(b (u - ib)), so differentiating i times in t gives the closed form
+
+        P_i[k] = i! (-1)^k C(i+1, 2k+1)       (0 <= k <= i/2).
     """
-    P = [1]
     for i in range(1, N + 1):
-        nxt = [0] * (i // 2 + 1)
-        for k, p in enumerate(P):
-            j = i - 1 - 2 * k
-            nxt[k] += (2 * i - j) * p
-            if j:
-                nxt[k + 1] -= j * p
-        P = nxt
-        yield P
+        f = math.factorial(i)
+        yield [f * (-1) ** k * math.comb(i + 1, 2 * k + 1) for k in range(i // 2 + 1)]
 
 
 def _sides_defining_relation(N: int, order: int):
-    """The two sides of E_N = 0 (see the module docstring) as (L', R', 1).
+    """The t^0 coefficients of the two sides of E_N = 0, as (L', R', 1).
 
-    L' and R' are exact t-polynomials, lists of x-coefficients indexed by
-    t-power, with nothing truncated.  The right side is first built in
-    u = x - t and c = 1 - x^2, where it is homogeneous of weight 2N: by
-    Horner in D = u^2 + c over the integer rows of `_p_rows`,
+    The right side is built in u = x - t and c = 1 - x^2, where it is
+    homogeneous of weight 2N: by Horner in D = u^2 + c over the integer
+    rows of `_p_rows`,
 
-        R~ = sum_i a_i(N) u^i P_i D^(N-i) = sum_s r_s u^(2N-2s) c^s,
+        R~ = sum_i a_i(N) u^i P_i D^(N-i) = sum_{s<N} r_s u^(2N-2s) c^s,
 
-    with small integer lists and no polynomial in x.  It is mapped to
-    t-coefficients once, each one `LaurentPoly.combination` over a table of
-    (1 - x^2)^s, so no series and no polynomial product runs:
+    N integers, since u^i with i >= 1 leaves no c^N term.  At t = 0,
+    u = x and c = 1 - x^2, so with j = s - q in (1 - x^2)^s,
 
-        R'[m] = sum_s r_s C(2N-2s, m) (-1)^m x^(2N-2s-m) (1 - x^2)^s
-        L'[m] = 2^N N! C(2N, m) (-1)^m x^(2N-m)
+        L' = 2^N N! x^(2N),
+        R' = sum_j x^(2(N-j)) sum_{s>=j} (-1)^(s-j) C(s, j) r_s.
 
-    u and c are algebraically independent, so R~ is the same polynomial as
-    the right side in t and x, and `verify._certify` compares it there.
+    That is all of E_N (see the module docstring): no series, no
+    polynomial product and no combination runs.
     """
     row = triangle_recurrence(N).rows[N - 1]
     r: list = []
@@ -160,37 +161,27 @@ def _sides_defining_relation(N: int, order: int):
         r = [same + up for same, up in zip(r + [0], [0] + r)]
         for k, p in enumerate(P):
             r[k] += a * p
-    c_powers = [
-        LaurentPoly({2 * q: math.comb(s, q) * (-1) ** q for q in range(s + 1)})
-        for s in range(N + 1)
-    ]
-    # math.comb(e, m) is 0 for m > e, and combination skips zero weights.
-    rhs = [
-        LaurentPoly.combination(
-            (math.comb(2 * (N - s), m) * (-1) ** m * r_s, 2 * (N - s) - m, c_powers[s])
-            for s, r_s in enumerate(r)
-        )
-        for m in range(2 * N + 1)
-    ]
-    scale = 2**N * math.factorial(N)
-    lhs = [
-        LaurentPoly.x_power(2 * N - m, scale * math.comb(2 * N, m) * (-1) ** m)
-        for m in range(2 * N + 1)
-    ]
-    return lhs, rhs, 1
+    rhs = LaurentPoly(
+        {
+            2 * (N - j): sum((-1) ** (s - j) * math.comb(s, j) * r[s] for s in range(j, N))
+            for j in range(N)
+        }
+    )
+    return LaurentPoly.x_power(2 * N, 2**N * math.factorial(N)), rhs, 1
 
 
 def verify_defining_relation(N: int, order: int):
     """Certify 2^N N! F^(N+1) = sum_i a_i(N) (x-t)^(i-2N) F^(i) for all t-orders.
 
-    A PASS is E_N = 0 coefficient by coefficient.  ``order``, the report's
-    n, is the t-order of the series comparison this certificate stands for:
-    differentiating i times costs i orders, so it reaches t^(order-N).  The
-    series difference is E_N times D^(-N-1), whose constant term is 1, so
-    both have the same lowest nonzero coefficient, at some t^k with
-    k <= 2N.  ``order`` must be >= 3N, so that k <= order - N; a smaller
-    order raises ValueError.  Failure is reported, not raised, with that
-    lowest nonzero coefficient as the residual.
+    A PASS is E_N = 0, decided by its t^0 coefficient (see the module
+    docstring).  ``order``, the report's n, is the t-order of the series
+    comparison this certificate stands for: differentiating i times costs
+    i orders, so it reaches t^(order-N).  The series difference is E_N
+    times D^(-N-1), whose constant term is 1, so both have the same lowest
+    nonzero coefficient, and for a failing E_N that is the t^0 one.
+    ``order`` must be >= 3N, so that the comparison reaches t^(2N), the
+    degree of E_N; a smaller order raises ValueError.  Failure is
+    reported, not raised, with that t^0 coefficient as the residual.
     """
     from chebident.verify import _certify  # verify imports this module
 

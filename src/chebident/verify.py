@@ -1,16 +1,16 @@
 """Symbolic certification of the polynomial-family identities.
 
-Every identity in the catalog is built as two t-polynomials, L' and R',
-whose coefficients are exact Laurent polynomials in x with integer
-coefficients, and one positive integer d: the left- and right-hand sides
-are L'/d and R'/d.  A cell passes when L' and R' are structurally equal,
-so the residual LHS - RHS = (L' - R')/d is literally the zero polynomial;
-only a failing cell builds its lowest nonzero t-coefficient, the only
-rational here.  Every identity but the defining relation has one
-t-coefficient, assembled from the integer rows of `families._rows`, whose
-append-only list per (kind, order) a cell fetches once and reads by index,
-and one convolution, `_convolution`, which accumulates all of its products
-in one term map and prunes it once.  The denominators are
+Every identity in the catalog is built as two exact Laurent polynomials
+in x with integer coefficients, L' and R', and one positive integer d:
+the left- and right-hand sides are L'/d and R'/d.  A cell passes when L'
+and R' are structurally equal, so the residual LHS - RHS = (L' - R')/d is
+literally the zero polynomial; only a failing cell builds it, the only
+rational here.  The sides are assembled from the integer rows of
+`families._rows`, whose append-only list per (kind, order) a cell fetches
+once and reads by index, and one convolution, `_convolution`, which
+accumulates all of its products in one term map and prunes it once.  The
+defining relation's sides are its t^0 coefficients, which decide it (see
+`triangle`).  The denominators are
 
   thm2, cor4, thm5, thm6   d = 2^N N!, the prefactor moved to the left
   Legendre convolutions    d = s^n over the rows r_m = s^m p_m^(a) (s = 2
@@ -159,20 +159,20 @@ def _legendre_selfconv(k: int) -> LaurentPoly:
 
 # -- side builders -------------------------------------------------------------
 #
-# Each builder returns (L', R', d): integer-coefficient sides whose true
-# values are L'/d and R'/d, for a positive integer d.  Rows are read by
-# index from the lists of `_rows`, fetched once per cell up to the highest
-# row the cell reads.
+# Each builder returns (L', R', d): two `LaurentPoly` sides with integer
+# coefficients whose true values are L'/d and R'/d, for a positive integer
+# d.  Rows are read by index from the lists of `_rows`, fetched once per
+# cell up to the highest row the cell reads.
 
 
 def _sides_intro(n: int):
     u = _rows(Family.U, 1, n)
-    return [(n + 1) * u[n]], [_convolution(_rows(Family.T_GF, 1, n), u, n)], 1
+    return (n + 1) * u[n], _convolution(_rows(Family.T_GF, 1, n), u, n), 1
 
 
 def _sides_legendre(n: int, alpha: int):
     d = _scale(Family.LEGENDRE, alpha) ** n
-    return [d * _rows(Family.U, alpha, n)[n]], [_legendre_convolution(alpha, n)], d
+    return d * _rows(Family.U, alpha, n)[n], _legendre_convolution(alpha, n), d
 
 
 def _rhs_weights(n: int, row: tuple) -> tuple:
@@ -274,19 +274,19 @@ def _thm2_denominator(N: int) -> int:
 
 def _sides_thm2(n: int, N: int):
     d = _thm2_denominator(N)
-    return [d * _rows(Family.U, N + 1, n)[n]], [_rhs(n, N, _rows(Family.U, 1, n + N))], d
+    return d * _rows(Family.U, N + 1, n)[n], _rhs(n, N, _rows(Family.U, 1, n + N)), d
 
 
 def _sides_cor3(n: int, N: int):
     d, d_conv = _thm2_denominator(N), _scale(Family.LEGENDRE, N + 1) ** n
     rhs = d_conv * _rhs(n, N, _rows(Family.U, 1, n + N))
-    return [d * _legendre_convolution(N + 1, n)], [rhs], d_conv * d
+    return d * _legendre_convolution(N + 1, n), rhs, d_conv * d
 
 
 def _sides_cor4(n: int, N: int):
     d = _thm2_denominator(N)
     rhs = _rhs(n, N, _rows_or_U(Family.LEGENDRE, n + N))
-    return [d * _rows(Family.U, N + 1, n)[n]], [rhs], d
+    return d * _rows(Family.U, N + 1, n)[n], rhs, d
 
 
 def _sides_thm5_6(kind: Family, sign: int, n: int, N: int):
@@ -296,7 +296,7 @@ def _sides_thm5_6(kind: Family, sign: int, n: int, N: int):
     lhs = LaurentPoly.combination(
         (d * sign ** (n - l) * math.comb(N + n - l, n - l), 0, higher[l]) for l in range(n + 1)
     )
-    return [lhs], [_rhs(n, N, _rows_or_U((kind, 1, sign), n + N))], d
+    return lhs, _rhs(n, N, _rows_or_U((kind, 1, sign), n + N)), d
 
 
 def _sides_thm7(n: int, N: int, first_kind: str):
@@ -308,7 +308,7 @@ def _sides_thm7(n: int, N: int, first_kind: str):
         (scale * math.comb(N + j, N), 0, higher[n - 2 * j]) for j in range(n // 2 + 1)
     )
     # The (2, 0) parity sums are twice the (1, 0) ones, and _rhs is linear.
-    return [lhs], [2 * _rhs(n, N, _rows_or_U((kind, 1, 0), n + N))], 1
+    return lhs, 2 * _rhs(n, N, _rows_or_U((kind, 1, 0), n + N)), 1
 
 
 # -- the catalog -----------------------------------------------------------------
@@ -392,15 +392,10 @@ def _certify(identity: str, **params) -> ReportEntry:
     row = _CATALOG[identity]
     start = time.perf_counter()
     lhs, rhs, d = row.sides(**params)
-    rhs_polynomial = all(map(LaurentPoly.is_polynomial, rhs)) if row.tracks_rhs else None
+    rhs_polynomial = rhs.is_polynomial() if row.tracks_rhs else None
     passed = lhs == rhs
-    if passed:
-        residual = _ZERO
-    else:
-        # Only a failure pays for the rationals: its residual is the lowest
-        # nonzero t-coefficient of (L' - R')/d.
-        l, r = next((l, r) for l, r in zip(lhs, rhs) if l != r)
-        residual = LaurentPoly(((l - r) / d).terms)
+    # Only a failure pays for the rationals.
+    residual = _ZERO if passed else LaurentPoly(((lhs - rhs) / d).terms)
     return ReportEntry(
         identity,
         params.get("n", params.get("order")),

@@ -241,14 +241,14 @@ class TestDefiningRelation:
         with pytest.raises(ValueError, match=message):
             verify_defining_relation(N, 3 * N - 1)
 
-    @pytest.mark.parametrize("N", [1, 2, 3, 4, 12, 16, 24, 32, 48])
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 12, 16, 24, 32, 48, 64, 80])
     def test_passes_at_degree_bound(self, N):
         assert verify_defining_relation(N, 3 * N).passed
 
     def test_combinations_grow_linearly_in_N(self, monkeypatch):
         # The right side is built on integer lists in u = x - t and
-        # c = 1 - x^2 and mapped to t-coefficients once, so a cell makes
-        # O(N) polynomial combinations, not one per (P_i, t-power).
+        # c = 1 - x^2, and only its t^0 coefficient becomes a polynomial,
+        # in one constructor call, so a passing cell makes no combination.
         combination = LaurentPoly.combination.__func__
         calls = []
 
@@ -260,7 +260,7 @@ class TestDefiningRelation:
         for N in range(1, 17):
             calls.clear()
             assert verify_defining_relation(N, 3 * N).passed
-            assert len(calls) <= 3 * N + 1, (N, len(calls))
+            assert calls == [], (N, len(calls))
 
     def test_work_does_not_depend_on_order(self):
         # The certificate is a degree-2N polynomial identity; order only
@@ -270,7 +270,7 @@ class TestDefiningRelation:
         assert entry.n == 100000
 
     def test_runs_no_product(self, monkeypatch):
-        # Every coefficient is a combination of monomial taps: neither
+        # Both sides are sums of x-monomials with integer weights: neither
         # the x-convolution nor the series product may run.
         def forbidden(*args):
             raise AssertionError("the defining relation ran a product")
@@ -278,6 +278,35 @@ class TestDefiningRelation:
         monkeypatch.setattr(_backend, "iadd_mul", forbidden)
         for N in range(1, 9):
             assert verify_defining_relation(N, 80).passed
+
+    def test_p_rows_match_the_step(self):
+        # The closed form against the step it replaced: in u-powers j,
+        # P_i = -P_(i-1)' D + 2i u P_(i-1) (' = d/du) adds (2i-j) P_(i-1)[j]
+        # to P_i[j+1] and subtracts j P_(i-1)[j] from P_i[j-1].
+        P = [1]
+        for i, row in enumerate(triangle._p_rows(60), 1):
+            nxt = [0] * (i // 2 + 1)
+            for k, p in enumerate(P):
+                j = i - 1 - 2 * k
+                nxt[k] += (2 * i - j) * p
+                if j:
+                    nxt[k + 1] -= j * p
+            P = nxt
+            assert row == P, i
+
+    @pytest.mark.parametrize("N", range(1, 9))
+    def test_perturbed_p_row_fails(self, N, monkeypatch):
+        # Every entry of every P_i the cell reads is load-bearing: a_i(N) > 0,
+        # so a change of P_i[k] changes E_N, and its t^0 coefficient shows it.
+        rows = list(triangle._p_rows(N))
+        cases = [(i, k) for i, row in enumerate(rows) for k in range(len(row))]
+        for (i, k), delta in product(cases, (1, -3)):
+            bad = [list(row) for row in rows]
+            bad[i][k] += delta
+            monkeypatch.setattr(triangle, "_p_rows", lambda n, bad=bad: iter(bad[:n]))
+            entry = verify_defining_relation(N, 3 * N)
+            assert not entry.passed, (i + 1, k, delta)
+            assert not entry.residual.is_zero()
 
     def test_perturbed_row_fails(self, monkeypatch):
         rows = triangle_recurrence(3).rows

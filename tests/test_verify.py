@@ -323,7 +323,7 @@ class TestVandermondeCollapse:
                     (2 ** (N + 1) * math.factorial(N) * c, 0, verify._rows(kind, N + 1, p)[p])
                     for p, c in thm7_lhs_weights_by_compositions(n, N).items()
                 )
-                assert _sides_thm7(n, N, first_kind)[0] == [expected]
+                assert _sides_thm7(n, N, first_kind)[0] == expected
 
     def test_perturbed_triangle_fails(self, monkeypatch):
         rows = triangle_recurrence(3).rows
@@ -518,7 +518,7 @@ class TestIntegerSides:
         for lhs, rhs, d in built:
             assert type(d) is int and d > 0
             for side in (lhs, rhs):
-                assert all(type(c) is int for coeff in side for c in coeff.terms.values())
+                assert all(type(c) is int for c in side.terms.values())
 
     # sha256 of the report with the triangle's row N = 2 perturbed, recorded
     # while both sides were still assembled over rationals: (L' - R')/d must
@@ -556,14 +556,14 @@ def _vanishing_at(roots) -> LaurentPoly:
     """prod (x - r) over ``roots``."""
     P = LaurentPoly.one()
     for r in roots:
-        P = P * (LaurentPoly.x_power(1) - LaurentPoly.constant(r))
+        P = P * (LaurentPoly.x_power(1) - LaurentPoly({0: r}))
     return P
 
 
 def _set_thm2_residual(monkeypatch, residual: LaurentPoly) -> None:
-    """Give thm2 the one-coefficient sides (residual, 0) over the denominator 1."""
+    """Give thm2 the sides (residual, 0) over the denominator 1."""
     row = verify._CATALOG[IdentityId.THM2]
-    sides = lambda n, N: ([residual], [LaurentPoly.zero()], 1)  # noqa: E731
+    sides = lambda n, N: (residual, LaurentPoly.zero(), 1)  # noqa: E731
     monkeypatch.setitem(verify._CATALOG, IdentityId.THM2, row._replace(sides=sides))
 
 
