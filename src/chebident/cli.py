@@ -8,6 +8,14 @@ Subcommands:
                      only when its residual is the zero Laurent polynomial
   defining-relation  certify the series defining relation for N = 1..N_max
 
+Every subcommand takes --format (pretty, json or csv) and --output (a file
+path in place of stdout); verify and defining-relation also take --timings.
+These flags are declared once, in `build_parser`, for every subcommand it
+defines.  Each command returns its text and its exit code, and `run` writes
+the text once, so no command touches stdout or a file itself.  poly and
+triangle pick their format in one helper, `_render`; the two report
+commands let `VerificationReport.render` build only the format asked for.
+
 Exit codes: 0 success, 1 at least one verification cell failed, 2 usage
 error or an --output file that cannot be written.  Output is
 byte-deterministic for identical inputs; wall-clock timings are only
@@ -46,13 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
     poly.add_argument(
         "--alpha", type=int, default=1, help="convolution order (default 1)"
     )
-    poly.add_argument("--format", choices=_FORMATS, default="pretty")
-    poly.add_argument("--output", help="write to this path instead of stdout")
 
     tri = sub.add_parser("triangle", help="emit coefficient-triangle rows")
     tri.add_argument("--n-max", type=int, required=True, help="last row N to emit")
-    tri.add_argument("--format", choices=_FORMATS, default="pretty")
-    tri.add_argument("--output", help="write to this path instead of stdout")
 
     ver = sub.add_parser(
         "verify", help="certify identities exactly (zero residual) over a grid"
@@ -70,9 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="gf",
         help="first-kind normalization used inside thm7",
     )
-    ver.add_argument("--timings", action="store_true", help="include wall-clock ms")
-    ver.add_argument("--format", choices=_FORMATS, default="pretty")
-    ver.add_argument("--output", help="write to this path instead of stdout")
 
     rel = sub.add_parser(
         "defining-relation", help="certify the series defining relation"
@@ -81,9 +82,13 @@ def build_parser() -> argparse.ArgumentParser:
     rel.add_argument(
         "--order", type=int, default=24, help="series order, >= 3 * N-max (default 24)"
     )
-    rel.add_argument("--timings", action="store_true", help="include wall-clock ms")
-    rel.add_argument("--format", choices=_FORMATS, default="pretty")
-    rel.add_argument("--output", help="write to this path instead of stdout")
+
+    # The output flags, last on every subcommand; only the reports are timed.
+    for cmd in sub.choices.values():
+        if cmd in (ver, rel):
+            cmd.add_argument("--timings", action="store_true", help="include wall-clock ms")
+        cmd.add_argument("--format", choices=_FORMATS, default="pretty")
+        cmd.add_argument("--output", help="write to this path instead of stdout")
 
     return parser
 
@@ -100,64 +105,62 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_poly(args) -> int:
+def _render(fmt: str, rows: list, pretty, record) -> str:
+    """poly's and triangle's one format switch over ``rows``, tuples of ints.
+
+    pretty text is the lines ``pretty()`` returns, CSV one comma-joined
+    line per row, and JSON one array of ``record(i, row)`` for the rows
+    i = 1, 2, ...; only the format asked for is built.
+    """
+    if fmt == "json":
+        import json  # only the JSON format needs it; keeps it off the import path
+
+        records = [record(i, row) for i, row in enumerate(rows, 1)]
+        return json.dumps(records, separators=(",", ":")) + "\n"
+    lines = pretty() if fmt == "pretty" else (",".join(map(str, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _cmd_poly(args):
     p = family_poly(FamilySpec(args.family, args.alpha), args.n)
-    if args.format == "pretty":
-        text = f"{p}\n"
-    elif args.format == "json":
-        import json  # only the JSON format needs it; keeps it off the import path
-
-        triples = [[e, str(num), str(den)] for e, num, den in p.to_triples()]
-        text = json.dumps(triples, separators=(",", ":")) + "\n"
-    else:
-        lines = [f"{e},{num},{den}" for e, num, den in p.to_triples()]
-        text = "\n".join(lines) + "\n" if lines else "\n"
-    _emit(text, args.output)
-    return 0
+    return _render(
+        args.format, p.to_triples(), lambda: [str(p)], lambda _, t: [t[0], str(t[1]), str(t[2])]
+    ), 0
 
 
-def _cmd_triangle(args) -> int:
-    tri = triangle_recurrence(args.n_max)
-    if args.format == "pretty":
-        lines = [
-            f"N={N}: " + " ".join(str(a) for a in tri.row(N))
-            for N in range(1, tri.n_max + 1)
-        ]
-        text = "\n".join(lines) + "\n"
-    elif args.format == "json":
-        import json  # only the JSON format needs it; keeps it off the import path
-
-        rows = [
-            {"N": N, "a": [str(a) for a in tri.row(N)]}
-            for N in range(1, tri.n_max + 1)
-        ]
-        text = json.dumps(rows, separators=(",", ":")) + "\n"
-    else:
-        lines = [",".join(str(a) for a in tri.row(N)) for N in range(1, tri.n_max + 1)]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
-    return 0
+def _cmd_triangle(args):
+    rows = triangle_recurrence(args.n_max).rows
+    return _render(
+        args.format,
+        rows,
+        lambda: [f"N={N}: " + " ".join(map(str, row)) for N, row in enumerate(rows, 1)],
+        lambda N, row: {"N": N, "a": [str(a) for a in row]},
+    ), 0
 
 
-def _cmd_verify(args) -> int:
+def _report(args, report: VerificationReport):
+    """The report in the format asked for, and exit 1 when a cell failed."""
+    return report.render(args.format, timings=args.timings), 0 if report.all_passed else 1
+
+
+def _cmd_verify(args):
     identities = list(IdentityId) if args.identity == "all" else [args.identity]
-    report = run_suite(identities, args.n_max, args.N_max, args.first_kind)
-    _emit(report.render(args.format, timings=args.timings), args.output)
-    return 0 if report.all_passed else 1
+    return _report(args, run_suite(identities, args.n_max, args.N_max, args.first_kind))
 
 
-def _cmd_defining_relation(args) -> int:
+def _cmd_defining_relation(args):
     # --N-max 0 would print an empty report that passes.  Each N checks its
     # own order too; this message names the flags.
     if args.N_max < 1:
         raise ValueError("--N-max must be >= 1")
     if args.order < 3 * args.N_max:
         raise ValueError("--order must be >= 3 * --N-max")
-    report = VerificationReport(
-        [verify_defining_relation(N, args.order) for N in range(1, args.N_max + 1)]
+    return _report(
+        args,
+        VerificationReport(
+            [verify_defining_relation(N, args.order) for N in range(1, args.N_max + 1)]
+        ),
     )
-    _emit(report.render(args.format, timings=args.timings), args.output)
-    return 0 if report.all_passed else 1
 
 
 _COMMANDS = {
@@ -169,12 +172,17 @@ _COMMANDS = {
 
 
 def run(argv) -> int:
-    """Parse argv (without the program name) and execute; returns the exit code."""
+    """Parse argv (without the program name) and execute; returns the exit code.
+
+    Each command returns (text, exit code); the text is written here, once.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         try:
-            return _COMMANDS[args.command](args)
+            text, code = _COMMANDS[args.command](args)
+            _emit(text, args.output)
+            return code
         except ValueError as exc:  # the library rejected an argument: a usage error
             parser.error(str(exc))
     except SystemExit as exc:  # argparse, parser.error() or an unwritable --output

@@ -50,10 +50,11 @@ the series form of (1 -/+ t)^(-1) G = F.  For V at (1, 1), W at (1, -1)
 and T~ at (1, 0) these running sums are U's rows, and so are cor4's
 Legendre self-convolutions (sum_j p_j p_{k-j} = U_k); thm7's (2, 0) sums
 are twice the (1, 0) ones and `_rhs` is linear.  So all of these right
-sides are thm2's sum.  `_rows_or_U` compares the rows of such a base with
-U's once each, structurally, up to the first that differs, and keeps the
-length of the equal prefix; it hands `_rhs` U's own row list, without a
-lock, only when every row a cell reads lies in that prefix.  Over U's rows
+sides are thm2's sum.  `_rows_or_U` keeps, per base, only the length of
+its prefix of rows that equal U's.  It builds and compares (structurally,
+up to the first that differs) only rows past that prefix, and hands
+`_rhs` U's own row list only when every row a cell reads lies in it, so
+no base keeps a second copy of U's rows.  Over U's rows
 `_rhs` builds the sum once per (n, triangle row) and keeps it, so thm2,
 cor3, cor4, thm5, thm6 and thm7 share one sum per (n, N).  A base with
 a differing row (classical T in thm7, or a perturbed row) is summed over
@@ -80,7 +81,6 @@ read the same table.
 from __future__ import annotations
 
 import math
-import threading
 import time
 from collections import namedtuple
 from enum import Enum
@@ -230,41 +230,36 @@ def _parity_sums(base: list, even: int, odd: int, top: int, S: list | None = Non
     return S
 
 
-# key -> (rows, prefix): the rows built so far, and how many of the leading
-# rows equal U's.  The prefix only grows, and a reader that finds its top
-# row inside it needs neither the lock nor the rows.
-_bases: dict = {}
-_bases_lock = threading.Lock()
+# key -> how many leading rows of the base equal U's.  Every value a thread
+# stores is true of the rows, so racing writers need no lock.
+_prefix: dict = {}
 
 
 def _rows_or_U(key, top: int) -> list:
     """Rows 0..top of the base ``key`` names, or U's row list if they all equal U's.
 
     ``key`` is (kind, even, odd) for the `_parity_sums` of family ``kind``
-    at order 1, or Family.LEGENDRE for `_legendre_selfconv`.  Each row is
-    built once and kept per key, with the length of the prefix of rows
-    that equal U's.  Rows are compared with U's structurally, once each and
-    only up to the first that differs; past it the prefix is final.  A cell
-    whose rows lie inside the prefix gets U's list, without the lock, and
-    so thm2's shared sum from `_rhs`; any other cell sums its own rows.
+    at order 1, or Family.LEGENDRE for `_legendre_selfconv`.  Only the
+    length of the prefix of rows that equal U's is kept per key.  A cell
+    whose rows lie inside it gets U's list, builds nothing, and so takes
+    thm2's shared sum from `_rhs`.  Any other cell builds the rows past
+    the prefix on U's rows below it, compares them with U's structurally
+    up to the first that differs, and sums its own rows unless none does.
     """
     U = _rows(Family.U, 1, top)
-    if top < _bases.get(key, ((), 0))[1]:
+    prefix = _prefix.get(key, 0)
+    if top < prefix:
         return U
-    with _bases_lock:
-        rows, prefix = _bases.get(key) or ([], 0)
-        # Every row so far equals U's; otherwise the prefix stopped at a difference.
-        open_prefix = prefix == len(rows)
-        if key is Family.LEGENDRE:
-            rows.extend(map(_legendre_selfconv, range(len(rows), top + 1)))
-        else:
-            kind, even, odd = key
-            _parity_sums(_rows(kind, 1, top), even, odd, top, rows)
-        if open_prefix:
-            while prefix < len(rows) and rows[prefix] == U[prefix]:
-                prefix += 1
-            _bases[key] = rows, prefix
-        return U if top < prefix else rows
+    rows = U[:prefix]
+    if key is Family.LEGENDRE:
+        rows += map(_legendre_selfconv, range(prefix, top + 1))
+    else:
+        kind, even, odd = key
+        _parity_sums(_rows(kind, 1, top), even, odd, top, rows)
+    while prefix <= top and rows[prefix] == U[prefix]:
+        prefix += 1
+    _prefix[key] = prefix
+    return U if top < prefix else rows
 
 
 def _thm2_denominator(N: int) -> int:
@@ -456,7 +451,9 @@ def suite_cells(identity: IdentityId, n_max: int, N_max: int):
 
 
 def _select(identities, n_max: int, N_max: int) -> list:
-    """The selected identities in catalog order, each with cells on the grid.
+    """(identity, cells) pairs for the selected identities, in catalog order.
+
+    Each identity's grid is built once, here.
 
     Raises ValueError for a negative grid, an empty selection or an identity
     the grid gives no cells, any of which would otherwise pass vacuously,
@@ -469,8 +466,8 @@ def _select(identities, n_max: int, N_max: int) -> list:
     wanted = {IdentityId(x) for x in identities}
     if not wanted:
         raise ValueError("identities must name at least one identity")
-    selected = [i for i in IdentityId if i in wanted]
-    empty = [i.value for i in selected if not suite_cells(i, n_max, N_max)]
+    selected = [(i, suite_cells(i, n_max, N_max)) for i in IdentityId if i in wanted]
+    empty = [i.value for i, cells in selected if not cells]
     if empty:
         raise ValueError(
             f"n_max={n_max}, N_max={N_max} selects no cells for " + ", ".join(empty)
@@ -490,13 +487,13 @@ def run_suite(
     selected = _select(identities, n_max, N_max)
     _check_args(first_kind)
     report = VerificationReport()
-    for identity in selected:
+    for identity, cells in selected:
         row = _CATALOG[identity]
         name = identity.value
         # Looked up on the module, not bound at import, so that wrappers
         # installed there (tracing, counting) see every cell.
         check = globals()[row.entry_point]
-        for N, n in suite_cells(identity, n_max, N_max):
+        for N, n in cells:
             params = dict(zip(row.params, (N, first_kind)))
             entry = check(n, **params)
             if entry.identity != name:  # Ualpha_from_Legendre at alpha = 1

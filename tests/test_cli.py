@@ -228,6 +228,89 @@ class TestGoldenDigests:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestPolyTriangleDigests:
+    # sha256 of the output bytes at large indices, recorded before poly and
+    # triangle shared one format switch; every format of it is pinned.
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ("poly", "--family", "W", "--n", "48", "--alpha", "4", "--format", "json"),
+                "ad8617b19afb9292123fe79cc23c3e571cb9737cfa6824442a9205e7266b585e",
+            ),
+            (
+                ("poly", "--family", "Legendre", "--n", "48", "--alpha", "3", "--format", "json"),
+                "32fbb697c4aaf8ddd704ba5477cf15bb37cb1b7e0d189782f4f1aeb0dd8433ef",
+            ),
+            (
+                ("poly", "--family", "Legendre", "--n", "41", "--alpha", "3", "--format", "csv"),
+                "cce36267428efff8bb4ca7bd4c02bcb3f58e79ec1d6d6244d203202b7158af1f",
+            ),
+            (
+                ("poly", "--family", "T_classical", "--n", "30"),
+                "1de098decece51607b4f2c7b7caa25f660ea4f67fc946878ef43b9603f5963c9",
+            ),
+            (
+                ("triangle", "--n-max", "30"),
+                "1548f36983ac5f55bac1121f9de9fbcc3b0ce1ea46a1b2f113ac37d90be10fb0",
+            ),
+            (
+                ("triangle", "--n-max", "30", "--format", "json"),
+                "33510412331411328bc39ea72ca858ac101af05694125ebec4a9f91f08b2d502",
+            ),
+            (
+                ("triangle", "--n-max", "30", "--format", "csv"),
+                "297d4aaa4571c1d4dbf94a0323a1f977e239e92fe078d7acb77774b545ecf9dd",
+            ),
+        ],
+        ids=[
+            "poly-W-json",
+            "poly-Legendre-json",
+            "poly-Legendre-csv",
+            "poly-T_classical-pretty",
+            "triangle-pretty",
+            "triangle-json",
+            "triangle-csv",
+        ],
+    )
+    def test_bytes(self, capsys, argv, digest):
+        code, out = invoke(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestOutputFlags:
+    # Every subcommand takes --format and --output; only the two report
+    # commands take --timings.
+    COMMANDS = {
+        "poly": ["poly", "--family", "U", "--n", "3"],
+        "triangle": ["triangle", "--n-max", "3"],
+        "verify": ["verify", "thm2", "--n-max", "2", "--N-max", "2"],
+        "defining-relation": ["defining-relation", "--N-max", "2"],
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+    def test_format_and_output(self, tmp_path, capsys, command, fmt):
+        argv = self.COMMANDS[command] + ["--format", fmt]
+        code, out = invoke(capsys, *argv)
+        assert code == 0 and out
+        path = tmp_path / "out.txt"
+        code, written = invoke(capsys, *argv, "--output", str(path))
+        assert code == 0 and written == ""
+        assert path.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_timings_only_on_reports(self, capsys, command):
+        code = run(self.COMMANDS[command] + ["--timings"])
+        captured = capsys.readouterr()
+        if command in ("poly", "triangle"):
+            assert code == 2 and captured.out == ""
+            assert "unrecognized arguments: --timings" in captured.err
+        else:
+            assert code == 0 and captured.out
+
+
 class TestDefiningRelation:
     def test_passes(self, capsys):
         code, out = invoke(capsys, "defining-relation", "--N-max", "3", "--order", "12")

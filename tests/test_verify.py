@@ -338,7 +338,7 @@ def _cold_caches(monkeypatch) -> None:
     """Empty, for this test only, every store of rows and sums the cells read."""
     for module, store in (
         (families, "_cache"),
-        (verify, "_bases"),
+        (verify, "_prefix"),
         (verify, "_thm2_sums"),
     ):
         monkeypatch.setattr(module, store, {})
@@ -446,19 +446,16 @@ class TestSharedRightSide:
     @pytest.mark.parametrize(
         "key", [(Family.V, 1, 1), (Family.W, 1, -1), (Family.T_GF, 1, 0), Family.LEGENDRE]
     )
-    def test_rows_inside_the_equal_prefix_are_read_without_the_lock(self, monkeypatch, key):
+    def test_rows_inside_the_equal_prefix_build_nothing(self, monkeypatch, key):
         _cold_caches(monkeypatch)
         U = verify._rows(Family.U, 1, 12)
         assert verify._rows_or_U(key, 12) is U
 
-        class NoLock:
-            def __enter__(self):
-                raise AssertionError("the lock was taken for a warm prefix")
+        def no_build(*args):
+            raise AssertionError("a row was built inside the equal prefix")
 
-            def __exit__(self, *exc):
-                return False
-
-        monkeypatch.setattr(verify, "_bases_lock", NoLock())
+        monkeypatch.setattr(verify, "_parity_sums", no_build)
+        monkeypatch.setattr(verify, "_legendre_selfconv", no_build)
         for top in range(13):
             assert verify._rows_or_U(key, top) is U, top
 
@@ -469,10 +466,12 @@ class TestSharedRightSide:
         U = verify._rows(Family.U, 1, 8)
         own = verify._rows_or_U(key, 8)
         assert own is not U and own[:9] == _parity_sums(verify._rows(*key[:2], 8), 1, 0, 8)
-        assert verify._bases[key][1] == 1
+        assert verify._prefix[key] == 1
         assert verify._rows_or_U(key, 0) is U
-        assert verify._rows_or_U(key, 12) is own and len(own) == 13
-        assert verify._bases[key][1] == 1
+        longer = verify._rows_or_U(key, 12)
+        assert longer is not U and len(longer) == 13 and longer[:9] == own
+        assert longer == _parity_sums(verify._rows(*key[:2], 12), 1, 0, 12)
+        assert verify._prefix[key] == 1
 
     def test_threads_with_cold_caches_match_serial(self, monkeypatch):
         kinds = ("gf", "classical")
