@@ -446,7 +446,9 @@ class TestSharedRightSide:
     @pytest.mark.parametrize(
         "key", [(Family.V, 1, 1), (Family.W, 1, -1), (Family.T_GF, 1, 0), Family.LEGENDRE]
     )
-    def test_rows_inside_the_equal_prefix_build_nothing(self, monkeypatch, key):
+    def test_rows_inside_the_equal_prefix_are_read_without_the_lock(self, monkeypatch, key):
+        # No lock guards the rows: a read inside the prefix returns U's list
+        # and builds no row of its own.
         _cold_caches(monkeypatch)
         U = verify._rows(Family.U, 1, 12)
         assert verify._rows_or_U(key, 12) is U
