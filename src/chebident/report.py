@@ -91,21 +91,24 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
     def render_json(self, timings: bool = False) -> str:
-        import json  # only this format needs it; keeps it off the CLI's import path
+        # Written directly, as render_csv is: only an identity name can need
+        # escaping (the other fields are ints, true/false, LaurentPoly text
+        # and the ms number), so json encodes each distinct name once.  It
+        # is imported only here, which keeps it off the CLI's import path.
+        from json import dumps
 
-        rows = [
-            {
-                "identity": e.identity,
-                "n": e.n,
-                "N": e.N,
-                "pass": e.passed,
-                "residual": str(e.residual),
-                "ms": _ms(e, timings),
-            }
-            for e in self.entries
-        ]
-        # Flat dicts of scalars: no container can refer to itself.
-        return json.dumps(rows, separators=(",", ":"), check_circular=False) + "\n"
+        names: dict = {}
+        rows = []
+        for e in self.entries:
+            name = names.get(e.identity)
+            if name is None:
+                name = names[e.identity] = dumps(e.identity)
+            rows.append(
+                f'{{"identity":{name},"n":{e.n},"N":{e.N},'
+                f'"pass":{"true" if e.passed else "false"},'
+                f'"residual":"{e.residual}","ms":{_ms(e, timings)}}}'
+            )
+        return "[" + ",".join(rows) + "]\n"
 
     def render_csv(self, timings: bool = False) -> str:
         # No field can hold a comma, a quote or a line break (identity names,

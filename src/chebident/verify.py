@@ -50,18 +50,28 @@ the series form of (1 -/+ t)^(-1) G = F.  For V at (1, 1), W at (1, -1)
 and T~ at (1, 0) these running sums are U's rows, and so are cor4's
 Legendre self-convolutions (sum_j p_j p_{k-j} = U_k); thm7's (2, 0) sums
 are twice the (1, 0) ones and `_rhs` is linear.  So all of these right
-sides are thm2's sum.  `_rows_or_U` keeps, per base, only the length of
-its prefix of rows that equal U's.  It builds and compares (structurally,
+sides are thm2's sum.  `_rows_or_U` keeps, per base, the length of its
+prefix of rows that equal U's.  It builds and compares (structurally,
 up to the first that differs) only rows past that prefix, and hands
 `_rhs` U's own row list only when every row a cell reads lies in it, so
-no base keeps a second copy of U's rows.  Over U's rows
+no base equal to U's keeps a second copy of U's rows.  Over U's rows
 `_rhs` builds the sum once per (n, triangle row) and keeps it, so thm2,
 cor3, cor4, thm5, thm6 and thm7 share one sum per (n, N).  A base with
 a differing row (classical T in thm7, or a perturbed row) is summed over
 its own rows, so no verdict rests on the identities that justify the
-sharing.  Each Legendre self-convolution is built once per (alpha, n).
-thm7's left-hand weights collapse the same way, because
-(1-t)^(-N-1) (1+t)^(-N-1) = (1-t^2)^(-N-1).
+sharing; those rows are kept per base, in `_own`, so the next cell
+builds only the rows past them.  Each Legendre self-convolution is
+built once per (alpha, n).
+
+The left sides of thm5 and thm6 are d H_n with
+H = (1 -/+ t)^(-N-1) G, G the order-(N+1) rows of V or W, so
+(1 -/+ t)^(N+1) H = G gives H_m from G_m and H_{m-1}, ..., H_{m-N-1}:
+N+2 terms per row, not n+1.  The rows H are kept per (kind, N) and a
+cell builds only those up to its own n (`_lhs_thm5_6`).  thm7's
+left-hand weights collapse, because (1-t)^(-N-1) (1+t)^(-N-1) =
+(1-t^2)^(-N-1), and its left side stays a direct sum of n/2+1 terms.
+Every kept list is replaced by a longer one, never extended in place, so
+each is complete and none needs a lock.
 
 First-kind symbols inside thm7 use the generating-function normalization
 T~ (family T_gf); `first_kind="classical"` substitutes the classical T_n
@@ -87,7 +97,7 @@ from enum import Enum
 from functools import lru_cache, partial
 
 from chebident import _backend as _k
-from chebident.families import Family, _divide_exact, _rows, _scale
+from chebident.families import Family, _divide_exact, _rows, _scale, _taps
 from chebident.laurent import LaurentPoly, _require_int
 from chebident.report import ReportEntry, VerificationReport
 from chebident.triangle import _sides_defining_relation, triangle_recurrence
@@ -230,36 +240,47 @@ def _parity_sums(base: list, even: int, odd: int, top: int, S: list | None = Non
     return S
 
 
-# key -> how many leading rows of the base equal U's.  Every value a thread
-# stores is true of the rows, so racing writers need no lock.
+# key -> how many leading rows of the base equal U's, and, for a base with a
+# row that differs, key -> its own rows.  Every value a thread stores is
+# true of the rows, and a kept list is replaced by a longer one, never
+# extended, so racing writers need no lock.
 _prefix: dict = {}
+_own: dict = {}
 
 
 def _rows_or_U(key, top: int) -> list:
-    """Rows 0..top of the base ``key`` names, or U's row list if they all equal U's.
+    """Rows 0..top (at least) of the base ``key`` names, or U's row list if they all equal U's.
 
     ``key`` is (kind, even, odd) for the `_parity_sums` of family ``kind``
-    at order 1, or Family.LEGENDRE for `_legendre_selfconv`.  Only the
-    length of the prefix of rows that equal U's is kept per key.  A cell
-    whose rows lie inside it gets U's list, builds nothing, and so takes
-    thm2's shared sum from `_rhs`.  Any other cell builds the rows past
-    the prefix on U's rows below it, compares them with U's structurally
-    up to the first that differs, and sums its own rows unless none does.
+    at order 1, or Family.LEGENDRE for `_legendre_selfconv`.  The length
+    of the prefix of rows that equal U's is kept per key.  A cell whose
+    rows lie inside it gets U's list, builds nothing, and so takes thm2's
+    shared sum from `_rhs`.  Any other cell builds the rows past the rows
+    it has, compares them with U's structurally up to the first that
+    differs, and sums its own rows unless none does.  Only a base with a
+    differing row keeps its own rows, in `_own`; a base equal to U keeps
+    no copy of U's.
     """
     U = _rows(Family.U, 1, top)
     prefix = _prefix.get(key, 0)
     if top < prefix:
         return U
-    rows = U[:prefix]
+    own = _own.get(key)
+    if own is not None and len(own) > top:
+        return own
+    rows = list(own) if own is not None else U[:prefix]
     if key is Family.LEGENDRE:
-        rows += map(_legendre_selfconv, range(prefix, top + 1))
+        rows += map(_legendre_selfconv, range(len(rows), top + 1))
     else:
         kind, even, odd = key
         _parity_sums(_rows(kind, 1, top), even, odd, top, rows)
     while prefix <= top and rows[prefix] == U[prefix]:
         prefix += 1
     _prefix[key] = prefix
-    return U if top < prefix else rows
+    if top < prefix:
+        return U
+    _own[key] = rows
+    return rows
 
 
 def _thm2_denominator(N: int) -> int:
@@ -284,13 +305,42 @@ def _sides_cor4(n: int, N: int):
     return d * _rows(Family.U, N + 1, n)[n], rhs, d
 
 
+# (kind, N) -> the rows H_0.. of thm5's (V) or thm6's (W) left-hand sum.  A
+# kept list is replaced by a longer one, never extended, so each is complete
+# and threads that race store equal lists: no lock is needed.
+_thm5_6_lhs: dict = {}
+
+
+def _lhs_thm5_6(kind: Family, sign: int, n: int, N: int) -> list:
+    """H_0..H_n (at least) of H = (1 - sign t)^(-N-1) G, G the order-(N+1) rows of ``kind``.
+
+    H_m = sum_l C(N+m-l, m-l) sign^(m-l) G_l, thm5's and thm6's left-hand
+    sum without 2^N N!, is built by (1 - sign t)^(N+1) H = G:
+
+        H_m = G_m - sum_{k=1..N+1} C(N+1, k) (-sign)^k H_{m-k},
+
+    N+2 terms per row, not m+1, on the rows kept for (kind, N).  A cell
+    builds only the rows up to its own n.
+    """
+    H = _thm5_6_lhs.get((kind, N), ())
+    if len(H) > n:
+        return H
+    G, taps = _rows(kind, N + 1, n), _taps(N + 1, -sign, 0, 1)[1:]
+    H = list(H)
+    for m in range(len(H), n + 1):
+        H.append(
+            LaurentPoly.combination(
+                [(1, 0, G[m])] + [(-c, 0, H[m - lag]) for c, _, lag in taps if lag <= m]
+            )
+        )
+    _thm5_6_lhs[kind, N] = H
+    return H
+
+
 def _sides_thm5_6(kind: Family, sign: int, n: int, N: int):
     """thm5 (V, sign 1) and its fourth-kind analogue thm6 (W, sign -1)."""
-    higher = _rows(kind, N + 1, n)
     d = _thm2_denominator(N)
-    lhs = LaurentPoly.combination(
-        (d * sign ** (n - l) * math.comb(N + n - l, n - l), 0, higher[l]) for l in range(n + 1)
-    )
+    lhs = d * _lhs_thm5_6(kind, sign, n, N)[n]
     return lhs, _rhs(n, N, _rows_or_U((kind, 1, sign), n + N)), d
 
 

@@ -6,6 +6,7 @@ versions of these records printed, and user scripts and doctests read them.
 
 import csv
 import io
+import json
 from fractions import Fraction
 
 import pytest
@@ -179,6 +180,39 @@ class TestVerificationReport:
         rendered = VerificationReport(entries).render_csv(timings)
         assert rendered == reference.getvalue()
         assert VerificationReport().render_csv(timings) == "identity,n,N,pass,residual,ms\n"
+
+    @pytest.mark.parametrize("timings", [False, True])
+    def test_json_matches_the_json_module(self, timings):
+        # render_json writes its rows itself; json.dumps over one dict per
+        # row, which escapes what needs escaping, must write the same bytes.
+        residuals = [
+            LaurentPoly({-3: Fraction(-5, 4), 0: 2, 2: Fraction(1, 3)}),
+            LaurentPoly({-1: -7}),
+            LaurentPoly.zero(),
+        ]
+        names = ['quote"d', "back\\slash", 'both\\"']
+        entries = [
+            ReportEntry(names[n], n, 2, r.is_zero(), r, None, 0.1234567 * (n + 1))
+            for n, r in enumerate(residuals)
+        ]
+        entries += run_suite(["thm7"], 3, 2, first_kind="classical").entries
+        entries.append(entries[0])
+        assert any(not e.residual.is_polynomial() for e in entries)
+        rows = [
+            {
+                "identity": e.identity,
+                "n": e.n,
+                "N": e.N,
+                "pass": e.passed,
+                "residual": str(e.residual),
+                "ms": round(e.elapsed_ms, 3) if timings else 0,
+            }
+            for e in entries
+        ]
+        reference = json.dumps(rows, separators=(",", ":")) + "\n"
+        assert VerificationReport(entries).render_json(timings) == reference
+        assert json.loads(reference)[0]["identity"] == 'quote"d'
+        assert VerificationReport().render_json(timings) == "[]\n"
 
     def test_run_suite_relabels_with_replace(self):
         report = run_suite(["Ualpha_from_Legendre"], n_max=1, N_max=1)

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -292,7 +293,40 @@ class TestDefiningRelation:
                 if j:
                     nxt[k + 1] -= j * p
             P = nxt
-            assert row == P, i
+            assert list(row) == P, i
+
+    def test_p_rows_are_kept_tuples(self):
+        # Built once for every N and shared: no cell can change a row in place.
+        for a, b in zip(triangle._p_rows(8), triangle._p_rows(12)):
+            assert type(a) is tuple and a is b
+
+    def test_taylor_shift_matches_the_binomial_sum(self, monkeypatch):
+        # The in-place shift against the comb/pow sum it replaced, on the
+        # Horner sums of every N <= 60 and on fixed integer vectors.
+        def oracle(r):
+            n = len(r)
+            return [
+                sum((-1) ** (s - j) * math.comb(s, j) * r[s] for s in range(j, n))
+                for j in range(n)
+            ]
+
+        shift = triangle._taylor_shift
+        seen = []
+
+        def recording(r):
+            seen.append(list(r))
+            return shift(r)
+
+        monkeypatch.setattr(triangle, "_taylor_shift", recording)
+        for N in range(1, 61):
+            assert verify_defining_relation(N, 3 * N).passed
+        assert [len(r) for r in seen] == list(range(1, 61))
+        rng = random.Random(30)
+        seen += [[rng.randint(-(10**40), 10**40) for _ in range(N)] for N in range(61)]
+        seen += [[1] * 60, [(-2) ** s for s in range(60)]]
+        for r in seen:
+            expected = oracle(r)
+            assert shift(r) == expected, len(r)
 
     @pytest.mark.parametrize("N", range(1, 9))
     def test_perturbed_p_row_fails(self, N, monkeypatch):

@@ -8,7 +8,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, strategies as st
 
-from chebident import families, verify
+from chebident import families, triangle, verify
 from chebident.families import Family, FamilySpec, family_poly, family_polys
 from chebident.laurent import LaurentPoly
 from chebident.triangle import Triangle, triangle_recurrence, verify_defining_relation
@@ -314,6 +314,26 @@ class TestVandermondeCollapse:
                 collapsed = {n - 2 * j: math.comb(N + j, N) for j in range(n // 2 + 1)}
                 assert thm7_lhs_weights_by_compositions(n, N) == collapsed
 
+    @pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
+    @pytest.mark.parametrize("kind,sign", [(Family.V, 1), (Family.W, -1)])
+    def test_thm5_6_kept_lhs_matches_binomial_sum(self, monkeypatch, kind, sign, descending):
+        # The recurrence-built left side against the direct sum
+        # sum_l C(N+n-l, n-l) sign^(n-l) G_l, from cold stores.  In
+        # descending n the first cell builds every row and the rest read them.
+        _cold_caches(monkeypatch)
+        for N in range(1, 7):
+            d = 2**N * math.factorial(N)
+            higher = verify._rows(kind, N + 1, 24)
+            for n in sorted(range(25), reverse=descending):
+                expected = LaurentPoly.combination(
+                    (d * sign ** (n - l) * math.comb(N + n - l, n - l), 0, higher[l])
+                    for l in range(n + 1)
+                )
+                assert verify._sides_thm5_6(kind, sign, n, N)[0] == expected, (N, n)
+                if descending:
+                    kept = verify._thm5_6_lhs[kind, N]
+                    assert len(kept) == 25 and verify._lhs_thm5_6(kind, sign, n, N) is kept
+
     @pytest.mark.parametrize("kind", [Family.T_GF, Family.T_CLASSICAL])
     def test_thm7_lhs_matches_compositions(self, kind):
         first_kind = "gf" if kind is Family.T_GF else "classical"
@@ -339,10 +359,13 @@ def _cold_caches(monkeypatch) -> None:
     for module, store in (
         (families, "_cache"),
         (verify, "_prefix"),
+        (verify, "_own"),
         (verify, "_thm2_sums"),
+        (verify, "_thm5_6_lhs"),
     ):
         monkeypatch.setattr(module, store, {})
     verify._legendre_convolution.cache_clear()
+    triangle._p_row.cache_clear()
 
 
 def convolution_reference(f, g, n):
@@ -474,6 +497,31 @@ class TestSharedRightSide:
         assert longer is not U and len(longer) == 13 and longer[:9] == own
         assert longer == _parity_sums(verify._rows(*key[:2], 12), 1, 0, 12)
         assert verify._prefix[key] == 1
+
+    def test_differing_base_keeps_its_own_rows(self, monkeypatch):
+        # Classical T's rows are kept once built: a shorter read builds
+        # nothing, and a longer one stores a longer list in place of the
+        # kept one, which stays as it was.
+        _cold_caches(monkeypatch)
+        key = (Family.T_CLASSICAL, 1, 0)
+        own = verify._rows_or_U(key, 8)
+        assert verify._own[key] is own and len(own) == 9
+        parity_sums = verify._parity_sums
+
+        def no_build(*args):
+            raise AssertionError("a kept row was built again")
+
+        monkeypatch.setattr(verify, "_parity_sums", no_build)
+        for top in range(1, 9):
+            assert verify._rows_or_U(key, top) is own, top
+        monkeypatch.setattr(verify, "_parity_sums", parity_sums)
+        longer = verify._rows_or_U(key, 12)
+        assert verify._own[key] is longer and len(longer) == 13 and len(own) == 9
+        assert longer[:9] == own
+        # A base equal to U's keeps no copy of U's rows.
+        for equal in (Family.LEGENDRE, (Family.V, 1, 1)):
+            assert verify._rows_or_U(equal, 12) is verify._rows(Family.U, 1, 12)
+            assert equal not in verify._own
 
     def test_threads_with_cold_caches_match_serial(self, monkeypatch):
         kinds = ("gf", "classical")
