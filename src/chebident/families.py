@@ -39,22 +39,22 @@ integer rows and carries s^n as a denominator.
 T_gf and T_classical are deliberately separate families: mixing them up
 shifts every identity by factors of 2.  FamilySpec allows T_classical at
 order 1 only; thm7's normalization guard reads higher orders via `_rows`.
-Rows are kept in one store, `_cache`, one list per (kind, alpha),
-extended lazily and append-only behind a lock.  The table for 2 lambda = a
-is the list of (U, a/2) for even a and of (Legendre, a) for odd a; even-
-order Legendre shares U's list.  Returned polynomials are immutable.
+Rows are kept in one store, `_cache`, one list per (kind, alpha), grown
+lazily by `laurent._extended`, with no lock.  The table for 2 lambda = a is
+the list of (U, a/2) for even a and of (Legendre, a) for odd a; Legendre
+at even order delegates to U and keeps no list.  Returned polynomials are
+immutable.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb
 
-from chebident.laurent import LaurentPoly, _require_int
+from chebident.laurent import LaurentPoly, _extended, _require_int
 
 __all__ = ["Family", "FamilySpec", "family_poly", "family_polys"]
 
@@ -102,7 +102,6 @@ _TABLE = {
 }
 
 _cache: dict[tuple[Family, int], list[LaurentPoly]] = {}
-_lock = threading.Lock()
 
 
 def _divide_exact(p: LaurentPoly, m: int, what: str) -> LaurentPoly:
@@ -160,11 +159,9 @@ def _rows(kind: Family, alpha: int, n: int) -> list[LaurentPoly]:
     """
     rows = _cache.get((kind, alpha), ())
     if len(rows) > n:
-        return rows  # append-only: rows 0..n are complete, no lock needed
+        return rows
     c, e, d, h = _TABLE[kind]
-    # Each branch chooses the row step; one loop below runs it.  Rows of
-    # another list are fetched here, before taking _lock, which is not
-    # reentrant; that list is append-only, so its rows 0..n stay complete.
+    # Each branch chooses the row step; `_extended` runs it.
     if kind is Family.W:
         # W_m(x) = (-1)^m V_m(-x): (1+t)^alpha D(x,t)^(-alpha) is V's generating
         # function at (-x, -t).
@@ -182,17 +179,13 @@ def _rows(kind: Family, alpha: int, n: int) -> list[LaurentPoly]:
             )
 
     elif kind is Family.LEGENDRE and alpha % 2 == 0:
-        # Integer lambda = alpha/2: the rows are U's at alpha/2, shared, not copied.
-        return _cache.setdefault((kind, alpha), _rows(Family.U, alpha // 2, n))
+        # Integer lambda = alpha/2: the rows are U's at alpha/2, shared, not
+        # copied.  No entry is kept: it would go stale once U's list is replaced.
+        return _rows(Family.U, alpha // 2, n)
     else:
         step = partial(_gegenbauer_row, 2 * alpha // h)
-    with _lock:
-        rows = _cache.get((kind, alpha))
-        if rows is None:
-            rows = _cache[kind, alpha] = []
-        for m in range(len(rows), n + 1):
-            rows.append(step(rows, m))
-        return rows
+    rows = _cache[kind, alpha] = _extended(rows, n, step)
+    return rows
 
 
 def _divided(row: LaurentPoly, d: int) -> LaurentPoly:

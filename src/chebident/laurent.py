@@ -24,6 +24,19 @@ def _require_int(name: str, value) -> None:
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
 
+def _extended(seq, n: int, step):
+    """``seq`` if it has entries 0..n, else a new, longer list that starts with
+    it, entry m built as step(entries, m).  ``seq`` is never extended in place,
+    so a list once handed out never changes, and a store that only replaces
+    its lists by these holds complete lists and needs no lock."""
+    if len(seq) > n:
+        return seq
+    entries = list(seq)
+    for m in range(len(entries), n + 1):
+        entries.append(step(entries, m))
+    return entries
+
+
 def _as_coeff(c):
     """Normalize an input coefficient to int or Fraction; reject other types."""
     if isinstance(c, int) and not isinstance(c, bool):

@@ -66,7 +66,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from chebident.laurent import LaurentPoly, _require_int
+from chebident.laurent import LaurentPoly, _extended, _require_int
 
 __all__ = ["Triangle", "triangle_recurrence", "verify_defining_relation"]
 
@@ -96,33 +96,34 @@ class Triangle(namedtuple("Triangle", "rows")):
         return row[i - 1]
 
 
-_triangles: dict[int, Triangle] = {}
+def _next_triangle(triangles: list, m: int) -> Triangle:
+    """Rows 1..m+1: those of ``triangles[m - 1]``, shared, and row m+1 by the
+    recurrence, one formula with a_0(m) = a_(m+1)(m) = 0; a_1(1) = 1 for m = 0."""
+    if m == 0:
+        return Triangle(((1,),))
+    rows = triangles[m - 1].rows
+    a = (0, *rows[-1], 0)
+    return Triangle(rows + (tuple([a[i - 1] + (2 * m - i) * a[i] for i in range(1, m + 2)]),))
+
+
+# Entry m is the Triangle of rows 1..m+1, grown by `_extended`.
+_triangles: list = []
 
 
 def triangle_recurrence(n_max: int) -> Triangle:
     """Rows 1..n_max by the recurrence.
 
-    One `Triangle` is kept per ``n_max``.  It is an immutable tuple of int
-    tuples, so every caller shares it and no lock is needed.  A missing one
-    is built on the kept triangle for n_max - 1, sharing its rows, when
-    there is one, and from a_1(1) = 1 otherwise.
+    One immutable `Triangle` per ``n_max`` is kept in `_triangles` and shared;
+    each shares the row tuples of the one for n_max - 1.
     """
+    global _triangles
     _require_int("n_max", n_max)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    tri = _triangles.get(n_max)
-    if tri is None:
-        below = _triangles.get(n_max - 1)
-        rows = list(below.rows) if below else [(1,)]
-        for N in range(len(rows), n_max):
-            prev = rows[-1]
-            nxt = [(2 * N - 1) * prev[0]]
-            nxt.extend(prev[i - 2] + (2 * N - i) * prev[i - 1] for i in range(2, N + 1))
-            nxt.append(prev[-1])
-            rows.append(tuple(nxt))
-        # Threads that race here build equal triangles; setdefault keeps the first.
-        tri = _triangles.setdefault(n_max, Triangle(tuple(rows)))
-    return tri
+    kept = _triangles
+    if len(kept) < n_max:
+        kept = _triangles = _extended(kept, n_max - 1, _next_triangle)
+    return kept[n_max - 1]
 
 
 @lru_cache(maxsize=None)

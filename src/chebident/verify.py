@@ -6,8 +6,8 @@ the left- and right-hand sides are L'/d and R'/d.  A cell passes when L'
 and R' are structurally equal, so the residual LHS - RHS = (L' - R')/d is
 literally the zero polynomial; only a failing cell builds it, the only
 rational here.  The sides are assembled from the integer rows of
-`families._rows`, whose append-only list per (kind, order) a cell fetches
-once and reads by index, and one convolution, `_convolution`, which
+`families._rows`, whose list per (kind, order) a cell fetches once and
+reads by index, and one convolution, `_convolution`, which
 accumulates all of its products in one term map and prunes it once.  The
 defining relation's sides are its t^0 coefficients, which decide it (see
 `triangle`).  The denominators are
@@ -59,19 +59,17 @@ no base equal to U's keeps a second copy of U's rows.  Over U's rows
 cor3, cor4, thm5, thm6 and thm7 share one sum per (n, N).  A base with
 a differing row (classical T in thm7, or a perturbed row) is summed over
 its own rows, so no verdict rests on the identities that justify the
-sharing; those rows are kept per base, in `_own`, so the next cell
-builds only the rows past them.  Each Legendre self-convolution is
-built once per (alpha, n).
+sharing; those rows are kept per base, in `_own`.  Each Legendre
+self-convolution is built once per (alpha, n).
 
 The left sides of thm5 and thm6 are d H_n with
 H = (1 -/+ t)^(-N-1) G, G the order-(N+1) rows of V or W, so
 (1 -/+ t)^(N+1) H = G gives H_m from G_m and H_{m-1}, ..., H_{m-N-1}:
-N+2 terms per row, not n+1.  The rows H are kept per (kind, N) and a
-cell builds only those up to its own n (`_lhs_thm5_6`).  thm7's
+N+2 terms per row, not n+1, kept per (kind, N) (`_lhs_thm5_6`).  thm7's
 left-hand weights collapse, because (1-t)^(-N-1) (1+t)^(-N-1) =
 (1-t^2)^(-N-1), and its left side stays a direct sum of n/2+1 terms.
-Every kept list is replaced by a longer one, never extended in place, so
-each is complete and none needs a lock.
+Every kept sequence grows through one helper, `laurent._extended`: a
+cell builds only the entries past those kept, and none needs a lock.
 
 First-kind symbols inside thm7 use the generating-function normalization
 T~ (family T_gf); `first_kind="classical"` substitutes the classical T_n
@@ -98,7 +96,7 @@ from functools import lru_cache, partial
 
 from chebident import _backend as _k
 from chebident.families import Family, _divide_exact, _rows, _scale, _taps
-from chebident.laurent import LaurentPoly, _require_int
+from chebident.laurent import LaurentPoly, _extended, _require_int
 from chebident.report import ReportEntry, VerificationReport
 from chebident.triangle import _sides_defining_relation, triangle_recurrence
 
@@ -222,28 +220,27 @@ def _rhs(n: int, N: int, base: list) -> LaurentPoly:
     return _thm2_sums.setdefault((n, row), rhs) if shared else rhs
 
 
-def _parity_sums(base: list, even: int, odd: int, top: int, S: list | None = None) -> list:
-    """S_k = even E_k + odd E_{k-1} for k <= top, appended to ``S`` (a new list by default).
+def _parity_sums(base: list, even: int, odd: int, top: int, S=()) -> list:
+    """S_k = even E_k + odd E_{k-1} for k <= top, by `_extended` from ``S``.
 
     E_k = base[k] + E_{k-2} sums every other row down from k, so S_k
     weights base[j] by ``even`` when k - j is even and by ``odd`` otherwise:
     S_k = even base[k] + odd base[k-1] + S_{k-2}.
     """
-    S = [] if S is None else S
-    for k in range(len(S), top + 1):
+
+    def step(S, k):
         terms = [(even, 0, base[k])]
         if k >= 1:
             terms.append((odd, 0, base[k - 1]))
         if k >= 2:
             terms.append((1, 0, S[k - 2]))
-        S.append(LaurentPoly.combination(terms))
-    return S
+        return LaurentPoly.combination(terms)
+
+    return _extended(S, top, step)
 
 
 # key -> how many leading rows of the base equal U's, and, for a base with a
-# row that differs, key -> its own rows.  Every value a thread stores is
-# true of the rows, and a kept list is replaced by a longer one, never
-# extended, so racing writers need no lock.
+# row that differs, key -> its own rows.  Every value stored is true of the rows.
 _prefix: dict = {}
 _own: dict = {}
 
@@ -265,15 +262,14 @@ def _rows_or_U(key, top: int) -> list:
     prefix = _prefix.get(key, 0)
     if top < prefix:
         return U
-    own = _own.get(key)
-    if own is not None and len(own) > top:
-        return own
-    rows = list(own) if own is not None else U[:prefix]
+    rows = _own.get(key) or U[:prefix]
+    if len(rows) > top:
+        return rows
     if key is Family.LEGENDRE:
-        rows += map(_legendre_selfconv, range(len(rows), top + 1))
+        rows = _extended(rows, top, lambda rows, k: _legendre_selfconv(k))
     else:
         kind, even, odd = key
-        _parity_sums(_rows(kind, 1, top), even, odd, top, rows)
+        rows = _parity_sums(_rows(kind, 1, top), even, odd, top, rows)
     while prefix <= top and rows[prefix] == U[prefix]:
         prefix += 1
     _prefix[key] = prefix
@@ -305,9 +301,7 @@ def _sides_cor4(n: int, N: int):
     return d * _rows(Family.U, N + 1, n)[n], rhs, d
 
 
-# (kind, N) -> the rows H_0.. of thm5's (V) or thm6's (W) left-hand sum.  A
-# kept list is replaced by a longer one, never extended, so each is complete
-# and threads that race store equal lists: no lock is needed.
+# (kind, N) -> the rows H_0.. of thm5's (V) or thm6's (W) left-hand sum.
 _thm5_6_lhs: dict = {}
 
 
@@ -319,21 +313,19 @@ def _lhs_thm5_6(kind: Family, sign: int, n: int, N: int) -> list:
 
         H_m = G_m - sum_{k=1..N+1} C(N+1, k) (-sign)^k H_{m-k},
 
-    N+2 terms per row, not m+1, on the rows kept for (kind, N).  A cell
-    builds only the rows up to its own n.
+    N+2 terms per row, not m+1, on the rows kept for (kind, N).
     """
     H = _thm5_6_lhs.get((kind, N), ())
     if len(H) > n:
         return H
     G, taps = _rows(kind, N + 1, n), _taps(N + 1, -sign, 0, 1)[1:]
-    H = list(H)
-    for m in range(len(H), n + 1):
-        H.append(
-            LaurentPoly.combination(
-                [(1, 0, G[m])] + [(-c, 0, H[m - lag]) for c, _, lag in taps if lag <= m]
-            )
+
+    def step(H, m):
+        return LaurentPoly.combination(
+            [(1, 0, G[m])] + [(-c, 0, H[m - lag]) for c, _, lag in taps if lag <= m]
         )
-    _thm5_6_lhs[kind, N] = H
+
+    H = _thm5_6_lhs[kind, N] = _extended(H, n, step)
     return H
 
 

@@ -279,8 +279,8 @@ class TestIntegerGegenbauer:
 
     @pytest.mark.parametrize("legendre_first", [True, False])
     def test_even_legendre_is_u_at_half_the_order(self, legendre_first, monkeypatch):
-        # lambda = k for Legendre at order 2k: one list in the store, whichever
-        # of the two is asked for first.
+        # lambda = k for Legendre at order 2k: U's list, whichever of the two
+        # is asked for first, and the store keeps it under U's key alone.
         monkeypatch.setattr(families, "_cache", {})
         for k in (1, 2, 3):
             for n in (4, 12):
@@ -288,7 +288,7 @@ class TestIntegerGegenbauer:
                 if not legendre_first:
                     first, second = second, first
                 assert _rows(*first, n) is _rows(*second, n), (k, n)
-        assert len(families._cache) == 6
+        assert sorted(families._cache) == [(Family.U, k) for k in (1, 2, 3)]
 
     @pytest.mark.parametrize("kind", list(Family))
     def test_rows_are_integer_and_scale_to_the_family(self, kind):
@@ -305,9 +305,10 @@ class TestIntegerGegenbauer:
             assert family_polys(spec, 24) == expected
 
     def test_concurrent_readers_and_writers(self, monkeypatch):
-        # Readers skip the lock once a row list is long enough; writers extend
-        # it under the lock.  A row appended twice or lost would shift every
-        # later row and leave a list of the wrong length.
+        # No lock: a writer replaces a kept list by a longer one and never
+        # extends it, so a racing writer may store a shorter list after a
+        # longer one, but every list it stores is complete.  A row built twice
+        # into one list or lost would shift every later row.
         n_max = 40
         keys = [(kind, alpha) for kind in Family for alpha in (1, 2, 3)]
         expected = {key: list(_rows(*key, n_max)[: n_max + 1]) for key in keys}
@@ -328,13 +329,11 @@ class TestIntegerGegenbauer:
                     future.result(timeout=120)
         finally:
             sys.setswitchinterval(interval)
-        for table in families._cache.values():
-            assert len(table) == n_max + 1
+        assert_kept_lists_are_complete(expected, n_max)
 
     def test_concurrent_writers_asking_for_w_before_v(self, monkeypatch):
-        # W's rows are V's reflected, and V's rows are fetched before the lock
-        # is taken.  Every thread asks for W first, so W's extension and V's
-        # race from the start.
+        # W's rows are V's reflected, fetched before W's rows are built.  Every
+        # thread asks for W first, so W's extension and V's race from the start.
         n_max = 40
         keys = [(kind, alpha) for alpha in (1, 2, 3) for kind in (Family.W, Family.V)]
         expected = {key: list(_rows(*key, n_max)[: n_max + 1]) for key in keys}
@@ -356,8 +355,17 @@ class TestIntegerGegenbauer:
             sys.setswitchinterval(interval)
         # V filters U's rows at the same order, so U's lists are kept too.
         assert sorted(families._cache) == sorted(keys + [(Family.U, a) for a in (1, 2, 3)])
-        for table in families._cache.values():
-            assert len(table) == n_max + 1
+        expected.update({(Family.U, a): _rows(Family.U, a, n_max)[: n_max + 1] for a in (1, 2, 3)})
+        assert_kept_lists_are_complete(expected, n_max)
+
+
+def assert_kept_lists_are_complete(expected, n_max):
+    """Each kept list equals the expected rows up to its own length, and one
+    serial read after the threads returns all n_max + 1 of them."""
+    for key, table in families._cache.items():
+        assert 0 < len(table) <= n_max + 1 and table == expected[key][: len(table)], key
+    for key, rows in expected.items():
+        assert _rows(*key, n_max)[: n_max + 1] == rows, key
 
 
 class TestExplicitT:

@@ -123,30 +123,30 @@ class TestKeptTriangles:
         kept = [triangle_recurrence(n) for n in range(1, 16)]
         assert all(triangle_recurrence(n) is kept[n - 1] for n in range(1, 16))
         # A cold store builds the same rows again, as new objects.
-        monkeypatch.setattr(triangle, "_triangles", {})
+        monkeypatch.setattr(triangle, "_triangles", [])
         for n in reversed(range(1, 16)):
             fresh = triangle_recurrence(n)
             assert fresh == kept[n - 1] and fresh is not kept[n - 1]
             assert fresh.rows == tuple(kept[14].rows[:n])
 
     def test_ascending_calls_extend_the_kept_triangle(self, monkeypatch):
-        monkeypatch.setattr(triangle, "_triangles", {})
+        monkeypatch.setattr(triangle, "_triangles", [])
         ascending = [triangle_recurrence(n) for n in range(1, 41)]
         for below, tri in zip(ascending, ascending[1:]):
             assert all(a is b for a, b in zip(below.rows, tri.rows))
-        monkeypatch.setattr(triangle, "_triangles", {})
+        monkeypatch.setattr(triangle, "_triangles", [])
         descending = [triangle_recurrence(n) for n in reversed(range(1, 41))]
         assert [t.rows for t in reversed(descending)] == [t.rows for t in ascending]
         # The build starts from the kept n_max - 1 triangle, not from a second
         # store: rows 1..5 of a kept triangle made of fresh tuples are reused.
         kept = Triangle(tuple(tuple([*row]) for row in ascending[4].rows))
-        monkeypatch.setattr(triangle, "_triangles", {5: kept})
+        monkeypatch.setattr(triangle, "_triangles", [*ascending[:4], kept])
         assert all(a is b for a, b in zip(kept.rows, triangle_recurrence(6).rows))
         assert triangle_recurrence(6) == ascending[5]
 
     def test_concurrent_callers_get_equal_triangles(self, monkeypatch):
         expected = {n: triangle_recurrence(n) for n in range(1, 31)}
-        monkeypatch.setattr(triangle, "_triangles", {})
+        monkeypatch.setattr(triangle, "_triangles", [])
 
         def build(i):
             order = list(range(1, 31))

@@ -541,6 +541,31 @@ class TestSharedRightSide:
         assert results == [serial[kinds[i % 2]] for i in range(6)]
 
 
+class TestKeptLists:
+    @pytest.mark.parametrize(
+        "store", ["families._rows", "_lhs_thm5_6", "_parity_sums", "_rows_or_U"]
+    )
+    def test_a_list_handed_out_never_grows(self, monkeypatch, store):
+        # A store replaces a kept list by a longer one: a list it handed out
+        # keeps its length and its rows, and the longer one starts with the
+        # same row objects.
+        _cold_caches(monkeypatch)
+        V = verify._rows(Family.V, 1, 16)
+        seed = verify._parity_sums(V, 1, 1, 2)
+        fetch = {
+            "families._rows": lambda top, held: verify._rows(Family.U, 3, top),
+            "_lhs_thm5_6": lambda top, held: verify._lhs_thm5_6(Family.V, 1, top, 2),
+            "_parity_sums": lambda top, held: verify._parity_sums(V, 1, 1, top, held),
+            "_rows_or_U": lambda top, held: verify._rows_or_U((Family.T_CLASSICAL, 1, 0), top),
+        }[store]
+        held = fetch(5, seed)
+        rows = list(held)
+        longer = fetch(12, held)
+        assert len(held) == len(rows) >= 6 and all(a is b for a, b in zip(held, rows))
+        assert len(longer) > 12 and all(a is b for a, b in zip(longer, held))
+        assert len(seed) == 3
+
+
 class TestIntegerSides:
     @pytest.mark.parametrize("first_kind", ["gf", "classical"])
     def test_sides_are_fraction_free(self, monkeypatch, first_kind):
