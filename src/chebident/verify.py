@@ -39,37 +39,34 @@ l = 0..n unless stated):
                           T~_p^(N+1) = [plain sum] + [sign-alternating sum]
                           over i, l with T~_{p+l} factors
 
-The right-hand sums of thm5, thm6 and thm7 weight a term by the parity of
+Both sides of thm5, thm6 and thm7 are q(t)^(-alpha) applied to a
+family's rows, q = 1 - t, 1 + t and 1 - t^2 the numerators of V, W and T~
+(see families): `_unfilter` builds H = q^(-alpha) G from q^alpha H = G,
+at most alpha+1 terms per row, kept per (kind, alpha, q).  The left side
+is d H_n at alpha = N+1: the weights C(N+n-l, n-l) (+/-1)^(n-l) are
+(1 -/+ t)^(-N-1)'s, and thm7's collapse by (1-t)^(-N-1) (1+t)^(-N-1) =
+(1-t^2)^(-N-1).  On the right a term is weighted by the parity of
 i-l+s: (1, 1), (1, -1) and, since 1 + (-1)^{i-l} (-1)^s is 2 or 0, (2, 0)
 for thm7.  With k = p+l, (i!/l!) (k)_l = i! C(k, l), and c = i-l+s =
 n-m-k+i does not depend on l, so Chu-Vandermonde,
-sum_l C(k, l) C(c, i-l) = C(n-m+i, i), sums the l-loop.  What is left
-is thm2's sum, `_rhs`, applied to the parity running sum
-k -> even E_k + odd E_{k-1} of the base row, with E_k = base(k) + E_{k-2}:
-the series form of (1 -/+ t)^(-1) G = F.  For V at (1, 1), W at (1, -1)
-and T~ at (1, 0) these running sums are U's rows, and so are cor4's
-Legendre self-convolutions (sum_j p_j p_{k-j} = U_k); thm7's (2, 0) sums
-are twice the (1, 0) ones and `_rhs` is linear.  So all of these right
-sides are thm2's sum.  `_rows_or_U` keeps, per base, the length of its
-prefix of rows that equal U's.  It builds and compares (structurally,
-up to the first that differs) only rows past that prefix, and hands
-`_rhs` U's own row list only when every row a cell reads lies in it, so
-no base equal to U's keeps a second copy of U's rows.  Over U's rows
-`_rhs` builds the sum once per (n, triangle row) and keeps it, so thm2,
-cor3, cor4, thm5, thm6 and thm7 share one sum per (n, N).  A base with
-a differing row (classical T in thm7, or a perturbed row) is summed over
-its own rows, so no verdict rests on the identities that justify the
-sharing; those rows are kept per base, in `_own`.  Each Legendre
-self-convolution is built once per (alpha, n).
+sum_l C(k, l) C(c, i-l) = C(n-m+i, i), sums the l-loop.  What is left is
+thm2's sum, `_rhs`, over the rows of q^(-1) G at alpha = 1 (twice that
+for thm7, whose (2, 0) weights are twice (1, 0)'s; `_rhs` is linear).
+For V, W and T~ these rows are U's, q^(-1) (q F) = F with F = 1/D, and
+so are cor4's Legendre self-convolutions (sum_j p_j p_{k-j} = U_k).
 
-The left sides of thm5 and thm6 are d H_n with
-H = (1 -/+ t)^(-N-1) G, G the order-(N+1) rows of V or W, so
-(1 -/+ t)^(N+1) H = G gives H_m from G_m and H_{m-1}, ..., H_{m-N-1}:
-N+2 terms per row, not n+1, kept per (kind, N) (`_lhs_thm5_6`).  thm7's
-left-hand weights collapse, because (1-t)^(-N-1) (1+t)^(-N-1) =
-(1-t^2)^(-N-1), and its left side stays a direct sum of n/2+1 terms.
-Every kept sequence grows through one helper, `laurent._extended`: a
-cell builds only the entries past those kept, and none needs a lock.
+So all of these right sides are thm2's sum.  `_rows_or_U` keeps, per
+base, the length of its prefix of rows that equal U's.  It builds and
+compares (structurally, up to the first that differs) only rows past
+that prefix, and hands `_rhs` U's own row list only when every row a
+cell reads lies in it.  Over U's rows `_rhs` builds the sum once per
+(n, triangle row) and keeps it, so thm2, cor3, cor4, thm5, thm6 and thm7
+share one sum per (n, N).  A base with a differing row (classical T in
+thm7, or a perturbed row) is summed over its own rows, so no verdict
+rests on the identities that justify the sharing.  Each Legendre
+self-convolution is built once per (alpha, n).  Every kept sequence
+grows through one helper, `laurent._extended`: a cell builds only the
+entries past those kept, and none needs a lock.
 
 First-kind symbols inside thm7 use the generating-function normalization
 T~ (family T_gf); `first_kind="classical"` substitutes the classical T_n
@@ -220,63 +217,63 @@ def _rhs(n: int, N: int, base: list) -> LaurentPoly:
     return _thm2_sums.setdefault((n, row), rhs) if shared else rhs
 
 
-def _parity_sums(base: list, even: int, odd: int, top: int, S=()) -> list:
-    """S_k = even E_k + odd E_{k-1} for k <= top, by `_extended` from ``S``.
+# (kind, alpha, c, lag) -> rows 0.. of q(t)^(-alpha) G, q = 1 + c t^lag.
+_unfiltered: dict = {}
 
-    E_k = base[k] + E_{k-2} sums every other row down from k, so S_k
-    weights base[j] by ``even`` when k - j is even and by ``odd`` otherwise:
-    S_k = even base[k] + odd base[k-1] + S_{k-2}.
+
+def _unfilter(kind: Family, alpha: int, c: int, lag: int, n: int) -> list:
+    """Rows 0..n (at least) of H = q(t)^(-alpha) G, q = 1 + c t^lag and G
+    the order-alpha rows of ``kind``, kept per (kind, alpha, c, lag).
+
+    q^alpha H = G gives each row from G's and at most alpha earlier ones:
+
+        H_m = G_m - sum_{k=1..alpha} C(alpha, k) c^k H_{m - k lag}.
     """
+    key = kind, alpha, c, lag
+    H = _unfiltered.get(key, ())
+    if len(H) > n:
+        return H
+    G, taps = _rows(kind, alpha, n), _taps(alpha, c, 0, lag)[1:]
 
-    def step(S, k):
-        terms = [(even, 0, base[k])]
-        if k >= 1:
-            terms.append((odd, 0, base[k - 1]))
-        if k >= 2:
-            terms.append((1, 0, S[k - 2]))
-        return LaurentPoly.combination(terms)
+    def step(H, m):
+        return LaurentPoly.combination(
+            [(1, 0, G[m])] + [(-coef, 0, H[m - back]) for coef, _, back in taps if back <= m]
+        )
 
-    return _extended(S, top, step)
+    H = _unfiltered[key] = _extended(H, n, step)
+    return H
 
 
-# key -> how many leading rows of the base equal U's, and, for a base with a
-# row that differs, key -> its own rows.  Every value stored is true of the rows.
+# key -> how many leading rows of the base equal U's.  Every value stored is
+# true of the rows.
 _prefix: dict = {}
-_own: dict = {}
 
 
 def _rows_or_U(key, top: int) -> list:
     """Rows 0..top (at least) of the base ``key`` names, or U's row list if they all equal U's.
 
-    ``key`` is (kind, even, odd) for the `_parity_sums` of family ``kind``
-    at order 1, or Family.LEGENDRE for `_legendre_selfconv`.  The length
-    of the prefix of rows that equal U's is kept per key.  A cell whose
-    rows lie inside it gets U's list, builds nothing, and so takes thm2's
-    shared sum from `_rhs`.  Any other cell builds the rows past the rows
-    it has, compares them with U's structurally up to the first that
-    differs, and sums its own rows unless none does.  Only a base with a
-    differing row keeps its own rows, in `_own`; a base equal to U keeps
-    no copy of U's.
+    ``key`` is (kind, c, lag) for `_unfilter` of family ``kind`` at order 1,
+    or Family.LEGENDRE for `_legendre_selfconv`.  The length of the prefix
+    of rows that equal U's is kept per key.  A cell whose rows lie inside
+    it gets U's list, builds nothing, and so takes thm2's shared sum from
+    `_rhs`.  Any other cell builds the rows past the rows it has, compares
+    them with U's structurally up to the first that differs, and sums its
+    own rows unless none does.  The Legendre self-convolutions keep no
+    list: they start from U's prefix.
     """
     U = _rows(Family.U, 1, top)
     prefix = _prefix.get(key, 0)
     if top < prefix:
         return U
-    rows = _own.get(key) or U[:prefix]
-    if len(rows) > top:
-        return rows
     if key is Family.LEGENDRE:
-        rows = _extended(rows, top, lambda rows, k: _legendre_selfconv(k))
+        rows = _extended(U[:prefix], top, lambda rows, k: _legendre_selfconv(k))
     else:
-        kind, even, odd = key
-        rows = _parity_sums(_rows(kind, 1, top), even, odd, top, rows)
+        kind, c, lag = key
+        rows = _unfilter(kind, 1, c, lag, top)
     while prefix <= top and rows[prefix] == U[prefix]:
         prefix += 1
     _prefix[key] = prefix
-    if top < prefix:
-        return U
-    _own[key] = rows
-    return rows
+    return U if top < prefix else rows
 
 
 def _thm2_denominator(N: int) -> int:
@@ -301,51 +298,23 @@ def _sides_cor4(n: int, N: int):
     return d * _rows(Family.U, N + 1, n)[n], rhs, d
 
 
-# (kind, N) -> the rows H_0.. of thm5's (V) or thm6's (W) left-hand sum.
-_thm5_6_lhs: dict = {}
-
-
-def _lhs_thm5_6(kind: Family, sign: int, n: int, N: int) -> list:
-    """H_0..H_n (at least) of H = (1 - sign t)^(-N-1) G, G the order-(N+1) rows of ``kind``.
-
-    H_m = sum_l C(N+m-l, m-l) sign^(m-l) G_l, thm5's and thm6's left-hand
-    sum without 2^N N!, is built by (1 - sign t)^(N+1) H = G:
-
-        H_m = G_m - sum_{k=1..N+1} C(N+1, k) (-sign)^k H_{m-k},
-
-    N+2 terms per row, not m+1, on the rows kept for (kind, N).
-    """
-    H = _thm5_6_lhs.get((kind, N), ())
-    if len(H) > n:
-        return H
-    G, taps = _rows(kind, N + 1, n), _taps(N + 1, -sign, 0, 1)[1:]
-
-    def step(H, m):
-        return LaurentPoly.combination(
-            [(1, 0, G[m])] + [(-c, 0, H[m - lag]) for c, _, lag in taps if lag <= m]
-        )
-
-    H = _thm5_6_lhs[kind, N] = _extended(H, n, step)
-    return H
-
-
-def _sides_thm5_6(kind: Family, sign: int, n: int, N: int):
-    """thm5 (V, sign 1) and its fourth-kind analogue thm6 (W, sign -1)."""
+def _sides_thm5_6(kind: Family, c: int, lag: int, n: int, N: int):
+    """thm5 (V, c = -1) and thm6 (W, c = 1), q(t) = 1 + c t^lag with lag = 1:
+    d H_n for H = q^(-N-1) G against thm2's sum over the base q^(-1) G."""
     d = _thm2_denominator(N)
-    lhs = d * _lhs_thm5_6(kind, sign, n, N)[n]
-    return lhs, _rhs(n, N, _rows_or_U((kind, 1, sign), n + N)), d
+    lhs = d * _unfilter(kind, N + 1, c, lag, n)[n]
+    return lhs, _rhs(n, N, _rows_or_U((kind, c, lag), n + N)), d
 
 
-def _sides_thm7(n: int, N: int, first_kind: str):
+def _sides_thm7(c: int, lag: int, n: int, N: int, first_kind: str):
+    """thm7, q(t) = 1 - t^2: thm5's sides for T~ (or classical T), doubled.
+
+    Its prefactor 2^(N+1) N! stays on the left and twice thm2's sum is its
+    right side, so d = 1.
+    """
     kind = Family.T_GF if first_kind == "gf" else Family.T_CLASSICAL
-    higher = _rows(kind, N + 1, n)
-    # (1-t)^(-N-1) (1+t)^(-N-1) = (1-t^2)^(-N-1): only p = n - 2j survives.
-    scale = 2 ** (N + 1) * math.factorial(N)
-    lhs = LaurentPoly.combination(
-        (scale * math.comb(N + j, N), 0, higher[n - 2 * j]) for j in range(n // 2 + 1)
-    )
-    # The (2, 0) parity sums are twice the (1, 0) ones, and _rhs is linear.
-    return lhs, 2 * _rhs(n, N, _rows_or_U((kind, 1, 0), n + N)), 1
+    lhs = 2 * _thm2_denominator(N) * _unfilter(kind, N + 1, c, lag, n)[n]
+    return lhs, 2 * _rhs(n, N, _rows_or_U((kind, c, lag), n + N)), 1
 
 
 # -- the catalog -----------------------------------------------------------------
@@ -379,12 +348,14 @@ _CATALOG = {
         "verify_cor4_reconstructed", ("N",), _sides_cor4, None, True
     ),
     IdentityId.THM5: _Identity(
-        "verify_thm5", ("N",), partial(_sides_thm5_6, Family.V, 1), None, True
+        "verify_thm5", ("N",), partial(_sides_thm5_6, Family.V, -1, 1), None, True
     ),
     IdentityId.THM6: _Identity(
-        "verify_thm6", ("N",), partial(_sides_thm5_6, Family.W, -1), None, True
+        "verify_thm6", ("N",), partial(_sides_thm5_6, Family.W, 1, 1), None, True
     ),
-    IdentityId.THM7: _Identity("verify_thm7", ("N", "first_kind"), _sides_thm7, None, True),
+    IdentityId.THM7: _Identity(
+        "verify_thm7", ("N", "first_kind"), partial(_sides_thm7, -1, 2), None, True
+    ),
     # Not an IdentityId: certified per N at one series order, off the grid.
     "defining_relation": _Identity(
         "verify_defining_relation", ("N",), _sides_defining_relation, None, False

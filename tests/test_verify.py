@@ -3,7 +3,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,9 +15,8 @@ from chebident.triangle import Triangle, triangle_recurrence, verify_defining_re
 from chebident.verify import (
     _convolution,
     _legendre_selfconv,
-    _parity_sums,
     _rhs,
-    _sides_thm7,
+    _unfilter,
     IdentityId,
     run_suite,
     suite_cells,
@@ -191,7 +190,7 @@ class TestThm7:
 # The per-term loops are what the scalar-first assembly replaced: one
 # polynomial update per term, with no grouping of the integer weights.
 # triple_sum_grouped is the grouped (i, l, m, s, p) loop that the
-# Vandermonde collapse into _rhs over _parity_sums replaced.
+# Vandermonde collapse into _rhs over q(t)^(-1)-filtered rows replaced.
 
 
 def thm2_rhs_per_term(n, N, base):
@@ -253,11 +252,24 @@ def thm7_lhs_weights_by_compositions(n, N):
     return {p: c for p, c in weights.items() if c}
 
 
+def unfiltered(base, c, lag, top):
+    """Rows 0..top of (1 + c t^lag)^(-1) base by `_unfilter`, which reads
+    ``base`` as the order-1 rows of a stand-in kind, from an empty store."""
+    rows = verify._rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_rows", lambda kind, *a: base if kind == "base" else rows(kind, *a))
+        mp.setattr(verify, "_unfiltered", {})
+        return _unfilter("base", 1, c, lag, top)
+
+
 def collapsed_triple_sum(n, N, base, even, odd):
-    return _rhs(n, N, _parity_sums(base, even, odd, n + N))
+    return sum(
+        (w * _rhs(n, N, unfiltered(base, c, lag, n + N)) for w, c, lag in UNFILTERS[even, odd]),
+        LaurentPoly.zero(),
+    )
 
 
-# Row lists 0..ROWS of the bases that _rhs and _parity_sums take.
+# Row lists 0..ROWS of the bases that _rhs and _unfilter take.
 ROWS = 40
 BASES = {
     kind.value: family_polys(FamilySpec(kind), ROWS)
@@ -266,14 +278,25 @@ BASES = {
 BASES["Legendre_selfconv"] = [_legendre_selfconv(k) for k in range(ROWS + 1)]
 
 # The per-term sign flags (inner_sign, outer_sign) summed in the reference,
-# mapped to the (even, odd) parity weights of _parity_sums that reproduce
-# them: thm5, thm7's plain plus sign-alternating halves, a general weight
-# pair with neither weight zero nor the two equal up to sign, and thm6.
+# mapped to the (even, odd) weights that the parity of i-l+s gives a term:
+# thm5, thm7's plain plus sign-alternating halves, a general weight pair
+# with neither weight zero nor the two equal up to sign, and thm6.
 TRIPLE_SUM_WEIGHTS = {
     ((False, False),): (1, 1),
     ((False, False), (True, True)): (2, 0),
     ((False, False), (False, False), (True, True)): (3, 1),
     ((True, True),): (1, -1),
+}
+
+# (even, odd) -> (w, c, lag) terms whose sum of w (1 + c t^lag)^(-1) weights
+# row k-j by ``even`` for even j and by ``odd`` for odd j: (1 -/+ t)^(-1)
+# for (1, +/-1), (1 - t^2)^(-1) for (1, 0), and, _rhs being linear,
+# (3, 1) = (1, 1) + 2 (1, 0).
+UNFILTERS = {
+    (1, 1): ((1, -1, 1),),
+    (1, -1): ((1, 1, 1),),
+    (2, 0): ((2, -1, 2),),
+    (3, 1): ((1, -1, 1), (2, -1, 2)),
 }
 
 
@@ -315,35 +338,74 @@ class TestVandermondeCollapse:
                 assert thm7_lhs_weights_by_compositions(n, N) == collapsed
 
     @pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
-    @pytest.mark.parametrize("kind,sign", [(Family.V, 1), (Family.W, -1)])
-    def test_thm5_6_kept_lhs_matches_binomial_sum(self, monkeypatch, kind, sign, descending):
-        # The recurrence-built left side against the direct sum
-        # sum_l C(N+n-l, n-l) sign^(n-l) G_l, from cold stores.  In
+    @pytest.mark.parametrize(
+        "identity,first_kind,kind,c,lag",
+        [
+            pytest.param(IdentityId.THM5, None, Family.V, -1, 1, id="V-1"),
+            pytest.param(IdentityId.THM6, None, Family.W, 1, 1, id="W--1"),
+            pytest.param(IdentityId.THM7, "gf", Family.T_GF, -1, 2, id="T_gf"),
+            pytest.param(
+                IdentityId.THM7, "classical", Family.T_CLASSICAL, -1, 2, id="T_classical"
+            ),
+        ],
+    )
+    def test_thm5_6_kept_lhs_matches_binomial_sum(
+        self, monkeypatch, identity, first_kind, kind, c, lag, descending
+    ):
+        # The recurrence-built left side of thm5, thm6 and thm7 against the
+        # direct sum over q(t)^(-N-1)'s coefficients, q = 1 + c t^lag:
+        # sum_j C(N+j, N) (-c)^j G_{n - j lag}, from cold stores.  In
         # descending n the first cell builds every row and the rest read them.
         _cold_caches(monkeypatch)
+        sides = verify._CATALOG[identity].sides
+        extra = {} if first_kind is None else {"first_kind": first_kind}
         for N in range(1, 7):
-            d = 2**N * math.factorial(N)
+            # thm7 keeps its prefactor 2^(N+1) N! on the left.
+            d = 2**N * math.factorial(N) * (2 if first_kind else 1)
             higher = verify._rows(kind, N + 1, 24)
             for n in sorted(range(25), reverse=descending):
                 expected = LaurentPoly.combination(
-                    (d * sign ** (n - l) * math.comb(N + n - l, n - l), 0, higher[l])
-                    for l in range(n + 1)
+                    (d * math.comb(N + j, N) * (-c) ** j, 0, higher[n - j * lag])
+                    for j in range(n // lag + 1)
                 )
-                assert verify._sides_thm5_6(kind, sign, n, N)[0] == expected, (N, n)
+                assert sides(n=n, N=N, **extra)[0] == expected, (N, n)
                 if descending:
-                    kept = verify._thm5_6_lhs[kind, N]
-                    assert len(kept) == 25 and verify._lhs_thm5_6(kind, sign, n, N) is kept
+                    kept = verify._unfiltered[kind, N + 1, c, lag]
+                    assert len(kept) == 25 and _unfilter(kind, N + 1, c, lag, n) is kept
 
     @pytest.mark.parametrize("kind", [Family.T_GF, Family.T_CLASSICAL])
     def test_thm7_lhs_matches_compositions(self, kind):
         first_kind = "gf" if kind is Family.T_GF else "classical"
+        sides = verify._CATALOG[IdentityId.THM7].sides
         for N in range(1, 4):
             for n in range(9):
                 expected = LaurentPoly.combination(
                     (2 ** (N + 1) * math.factorial(N) * c, 0, verify._rows(kind, N + 1, p)[p])
                     for p, c in thm7_lhs_weights_by_compositions(n, N).items()
                 )
-                assert _sides_thm7(n, N, first_kind)[0] == expected
+                assert sides(n=n, N=N, first_kind=first_kind)[0] == expected
+
+    @pytest.mark.parametrize(
+        "changed",
+        [
+            {
+                IdentityId.THM5: partial(verify._sides_thm5_6, Family.V, 1, 1),
+                IdentityId.THM6: partial(verify._sides_thm5_6, Family.W, -1, 1),
+            },
+            {IdentityId.THM7: partial(verify._sides_thm7, -1, 1)},
+        ],
+        ids=["thm5-thm6-c-swapped", "thm7-lag-1"],
+    )
+    def test_q_is_load_bearing(self, monkeypatch, changed):
+        # The catalog's q(t) = 1 + c t^lag for each identity: a wrong c or
+        # lag fails a cell of every identity it touches.
+        _cold_caches(monkeypatch)
+        for identity, sides in changed.items():
+            row = verify._CATALOG[identity]
+            monkeypatch.setitem(verify._CATALOG, identity, row._replace(sides=sides))
+        report = run_suite([IdentityId.THM5, IdentityId.THM6, IdentityId.THM7], 8, 3)
+        failed = {e.identity for e in report.entries if not e.passed}
+        assert failed >= {identity.value for identity in changed}
 
     def test_perturbed_triangle_fails(self, monkeypatch):
         rows = triangle_recurrence(3).rows
@@ -359,9 +421,8 @@ def _cold_caches(monkeypatch) -> None:
     for module, store in (
         (families, "_cache"),
         (verify, "_prefix"),
-        (verify, "_own"),
         (verify, "_thm2_sums"),
-        (verify, "_thm5_6_lhs"),
+        (verify, "_unfiltered"),
     ):
         monkeypatch.setattr(module, store, {})
     verify._legendre_convolution.cache_clear()
@@ -423,10 +484,22 @@ class TestSharedRightSide:
     def test_bases_equal_U_row_for_row(self):
         U = BASES["U"]
         assert BASES["Legendre_selfconv"] == U
-        for kind, odd in ((Family.V, 1), (Family.W, -1), (Family.T_GF, 0)):
-            assert _parity_sums(BASES[kind.value], 1, odd, ROWS) == U, kind
-        classical = family_polys(FamilySpec(Family.T_CLASSICAL), ROWS)
-        assert _parity_sums(classical, 1, 0, ROWS) != U
+        for kind, c, lag in ((Family.V, -1, 1), (Family.W, 1, 1), (Family.T_GF, -1, 2)):
+            assert _unfilter(kind, 1, c, lag, ROWS)[: ROWS + 1] == U, kind
+        assert _unfilter(Family.T_CLASSICAL, 1, -1, 2, ROWS)[: ROWS + 1] != U
+
+    @pytest.mark.parametrize("alpha", range(1, 6))
+    def test_unfiltered_rows_are_U_rows(self, monkeypatch, alpha):
+        # q(t)^(-alpha) (q(t)^alpha F^alpha) = F^alpha, F = 1/D, on the
+        # code's own rows.  W's rows are V's reflected, not filtered by
+        # 1 + t, so this checks them by a second route.  Classical T's
+        # numerator is 1 - xt, so 1 - t^2 does not undo it: row 1 differs.
+        _cold_caches(monkeypatch)
+        U = verify._rows(Family.U, alpha, 24)[:25]
+        for kind, c, lag in ((Family.V, -1, 1), (Family.W, 1, 1), (Family.T_GF, -1, 2)):
+            assert _unfilter(kind, alpha, c, lag, 24)[:25] == U, kind
+        classical = _unfilter(Family.T_CLASSICAL, alpha, -1, 2, 24)
+        assert classical[0] == U[0] and classical[1] != U[1]
 
     def test_thm2_sum_built_once_per_cell(self, monkeypatch):
         # Every assembly of a right-hand sum reads its weight table once.
@@ -467,7 +540,7 @@ class TestSharedRightSide:
         assert verify_thm6(4, N).passed
 
     @pytest.mark.parametrize(
-        "key", [(Family.V, 1, 1), (Family.W, 1, -1), (Family.T_GF, 1, 0), Family.LEGENDRE]
+        "key", [(Family.V, -1, 1), (Family.W, 1, 1), (Family.T_GF, -1, 2), Family.LEGENDRE]
     )
     def test_rows_inside_the_equal_prefix_are_read_without_the_lock(self, monkeypatch, key):
         # No lock guards the rows: a read inside the prefix returns U's list
@@ -479,23 +552,25 @@ class TestSharedRightSide:
         def no_build(*args):
             raise AssertionError("a row was built inside the equal prefix")
 
-        monkeypatch.setattr(verify, "_parity_sums", no_build)
+        monkeypatch.setattr(verify, "_unfilter", no_build)
         monkeypatch.setattr(verify, "_legendre_selfconv", no_build)
         for top in range(13):
             assert verify._rows_or_U(key, top) is U, top
 
     def test_prefix_stops_at_the_first_differing_row(self, monkeypatch):
-        # Classical T's running sums are U's at row 0 only: S_1 = x, U_1 = 2x.
+        # Classical T's rows under (1 - t^2)^(-1) are U's at row 0 only:
+        # H_1 = x, U_1 = 2x.
         _cold_caches(monkeypatch)
-        key = (Family.T_CLASSICAL, 1, 0)
+        key = (Family.T_CLASSICAL, -1, 2)
         U = verify._rows(Family.U, 1, 8)
         own = verify._rows_or_U(key, 8)
-        assert own is not U and own[:9] == _parity_sums(verify._rows(*key[:2], 8), 1, 0, 8)
+        assert own is not U and own is _unfilter(Family.T_CLASSICAL, 1, -1, 2, 8)
+        assert own[1] == LaurentPoly.x_power(1)
         assert verify._prefix[key] == 1
         assert verify._rows_or_U(key, 0) is U
         longer = verify._rows_or_U(key, 12)
         assert longer is not U and len(longer) == 13 and longer[:9] == own
-        assert longer == _parity_sums(verify._rows(*key[:2], 12), 1, 0, 12)
+        assert longer is _unfilter(Family.T_CLASSICAL, 1, -1, 2, 12)
         assert verify._prefix[key] == 1
 
     def test_differing_base_keeps_its_own_rows(self, monkeypatch):
@@ -503,25 +578,24 @@ class TestSharedRightSide:
         # nothing, and a longer one stores a longer list in place of the
         # kept one, which stays as it was.
         _cold_caches(monkeypatch)
-        key = (Family.T_CLASSICAL, 1, 0)
+        key, stored = (Family.T_CLASSICAL, -1, 2), (Family.T_CLASSICAL, 1, -1, 2)
         own = verify._rows_or_U(key, 8)
-        assert verify._own[key] is own and len(own) == 9
-        parity_sums = verify._parity_sums
+        assert verify._unfiltered[stored] is own and len(own) == 9
+        extended = verify._extended
 
         def no_build(*args):
             raise AssertionError("a kept row was built again")
 
-        monkeypatch.setattr(verify, "_parity_sums", no_build)
+        monkeypatch.setattr(verify, "_extended", no_build)
         for top in range(1, 9):
             assert verify._rows_or_U(key, top) is own, top
-        monkeypatch.setattr(verify, "_parity_sums", parity_sums)
+        monkeypatch.setattr(verify, "_extended", extended)
         longer = verify._rows_or_U(key, 12)
-        assert verify._own[key] is longer and len(longer) == 13 and len(own) == 9
+        assert verify._unfiltered[stored] is longer and len(longer) == 13 and len(own) == 9
         assert longer[:9] == own
-        # A base equal to U's keeps no copy of U's rows.
-        for equal in (Family.LEGENDRE, (Family.V, 1, 1)):
+        # A base equal to U's hands out U's own list.
+        for equal in (Family.LEGENDRE, (Family.V, -1, 1)):
             assert verify._rows_or_U(equal, 12) is verify._rows(Family.U, 1, 12)
-            assert equal not in verify._own
 
     def test_threads_with_cold_caches_match_serial(self, monkeypatch):
         kinds = ("gf", "classical")
@@ -542,28 +616,22 @@ class TestSharedRightSide:
 
 
 class TestKeptLists:
-    @pytest.mark.parametrize(
-        "store", ["families._rows", "_lhs_thm5_6", "_parity_sums", "_rows_or_U"]
-    )
+    @pytest.mark.parametrize("store", ["families._rows", "_unfilter", "_rows_or_U"])
     def test_a_list_handed_out_never_grows(self, monkeypatch, store):
         # A store replaces a kept list by a longer one: a list it handed out
         # keeps its length and its rows, and the longer one starts with the
         # same row objects.
         _cold_caches(monkeypatch)
-        V = verify._rows(Family.V, 1, 16)
-        seed = verify._parity_sums(V, 1, 1, 2)
         fetch = {
-            "families._rows": lambda top, held: verify._rows(Family.U, 3, top),
-            "_lhs_thm5_6": lambda top, held: verify._lhs_thm5_6(Family.V, 1, top, 2),
-            "_parity_sums": lambda top, held: verify._parity_sums(V, 1, 1, top, held),
-            "_rows_or_U": lambda top, held: verify._rows_or_U((Family.T_CLASSICAL, 1, 0), top),
+            "families._rows": lambda top: verify._rows(Family.U, 3, top),
+            "_unfilter": lambda top: _unfilter(Family.V, 3, -1, 1, top),
+            "_rows_or_U": lambda top: verify._rows_or_U((Family.T_CLASSICAL, -1, 2), top),
         }[store]
-        held = fetch(5, seed)
+        held = fetch(5)
         rows = list(held)
-        longer = fetch(12, held)
+        longer = fetch(12)
         assert len(held) == len(rows) >= 6 and all(a is b for a, b in zip(held, rows))
         assert len(longer) > 12 and all(a is b for a, b in zip(longer, held))
-        assert len(seed) == 3
 
 
 class TestIntegerSides:
