@@ -29,19 +29,22 @@ u^(2N) D^(N+1) leaves the polynomial identity E_N = 0 in t, of degree <= 2N:
 
 In u and c = 1 - x^2, which are algebraically independent, D = u^2 + c
 and d/dt = -d/du.  So P_i is a homogeneous integer polynomial of weight i
-(u of weight 1, c of weight 2), with the closed form
-P_i[k] = i! (-1)^k C(i+1, 2k+1) on u^(i-2k) c^k, and E_N one of weight 2N:
-E_N = sum_{s=0..N} e_s u^(2N-2s) c^s, N+1 integers.  The P-rows do not
-depend on N, so each is built once and kept for every N.
+(u of weight 1, c of weight 2), and E_N one of weight 2N:
+E_N = sum_{s=0..N} e_s u^(2N-2s) c^s, N+1 integers.  The tests check
+P_i's weight through its closed form, `p_row` in tests/_oracles.py,
+against sympy's t-derivatives of 1/D.
 
 It is certified at t = 0 alone.  There u = x and c = 1 - x^2, so with
 y = x^2 the t^0 coefficient of E_N is sum_s e_s y^(N-s) (1-y)^s: the e_s
 in the Bernstein basis of degree N in y, whose N+1 polynomials are
 linearly independent.  So that coefficient is zero exactly when every e_s
 is, that is when E_N = 0, and a failing E_N always has its lowest nonzero
-t-coefficient at t^0.  Its coefficient of x^(2(N-j)) is the coefficient of
-z^j in e(z - 1) = sum_s e_s (z - 1)^s, a Taylor shift by -1 done in place
-with O(N^2) integer subtractions.
+t-coefficient at t^0.  At t = 0 also D = 1 and P_i = F^(i)(0) = i! U_i(x),
+so that coefficient is
+
+    2^N N! x^(2N) - sum_{i=1..N} a_i(N) i! x^i U_i(x),
+
+thm2's (n, N) = (0, N) cell times x^(2N), one weighted sum over U's rows.
 
 `verify_defining_relation` certifies it for one N.  It holds for every N by
 induction.  The series difference E_N u^(-2N) D^(-N-1), differentiated in t
@@ -64,8 +67,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import lru_cache
 
+from chebident.families import Family, _rows
 from chebident.laurent import LaurentPoly, _extended, _require_int
 
 __all__ = ["Triangle", "triangle_recurrence", "verify_defining_relation"]
@@ -126,67 +129,20 @@ def triangle_recurrence(n_max: int) -> Triangle:
     return kept[n_max - 1]
 
 
-@lru_cache(maxsize=None)
-def _p_row(i: int) -> tuple:
-    """P_i of F^(i) = P_i / D^(i+1), in u = x - t and c = 1 - x^2, built once.
-
-    D = u^2 + c and d/dt = -d/du, so P_i is homogeneous of weight i (u of
-    weight 1, c of weight 2): P_i[k] is the integer coefficient of
-    u^(i-2k) c^k.  With c = b^2, 1/D is the imaginary part of
-    1/(b (u - ib)), so differentiating i times in t gives the closed form
-
-        P_i[k] = i! (-1)^k C(i+1, 2k+1)       (0 <= k <= i/2).
-
-    It does not depend on N, so each row is kept, as an immutable tuple.
-    """
-    f = math.factorial(i)
-    return tuple(f * (-1) ** k * math.comb(i + 1, 2 * k + 1) for k in range(i // 2 + 1))
-
-
-def _p_rows(N: int):
-    """P_1..P_N, the kept rows of `_p_row`."""
-    return map(_p_row, range(1, N + 1))
-
-
-def _taylor_shift(r: list) -> list:
-    """r(z - 1) for the coefficients r[s] of z^s, in place: sum_{s>=j} (-1)^(s-j) C(s, j) r[s].
-
-    Horner's scheme in z - 1, one pass per power: O(len(r)^2) subtractions.
-    """
-    for i in range(len(r) - 1):
-        for j in range(len(r) - 2, i - 1, -1):
-            r[j] -= r[j + 1]
-    return r
-
-
 def _sides_defining_relation(N: int, order: int):
-    """The t^0 coefficients of the two sides of E_N = 0, as (L', R', 1).
-
-    The right side is built in u = x - t and c = 1 - x^2, where it is
-    homogeneous of weight 2N: by Horner in D = u^2 + c over the integer
-    rows of `_p_rows`, each built once for every N,
-
-        R~ = sum_i a_i(N) u^i P_i D^(N-i) = sum_{s<N} r_s u^(2N-2s) c^s,
-
-    N integers, since u^i with i >= 1 leaves no c^N term.  At t = 0,
-    u = x and c = 1 - x^2, so with j = s - q in (1 - x^2)^s,
+    """The t^0 coefficients of the two sides of E_N = 0, as (L', R', 1):
 
         L' = 2^N N! x^(2N),
-        R' = sum_j x^(2(N-j)) sum_{s>=j} (-1)^(s-j) C(s, j) r_s.
+        R' = sum_{i=1..N} a_i(N) i! x^i U_i,
 
-    The inner sum is the coefficient of z^j in r(z - 1), which
-    `_taylor_shift` computes in place by subtractions alone.  That is all
-    of E_N (see the module docstring): no series, no polynomial product
-    and no combination runs.
+    one combination over U's kept rows (see the module docstring), so no
+    product runs.  It is thm2's (0, N) cell times x^(2N).
     """
     row = triangle_recurrence(N).rows[N - 1]
-    r: list = []
-    for a, P in zip(row, _p_rows(N)):
-        # r <- r D + a u^i P_i, indexed by c-power: D = u^2 + c keeps it or adds 1.
-        r = [same + up for same, up in zip(r + [0], [0] + r)]
-        for k, p in enumerate(P):
-            r[k] += a * p
-    rhs = LaurentPoly._raw({2 * (N - j): c for j, c in enumerate(_taylor_shift(r)) if c})
+    U = _rows(Family.U, 1, N)
+    rhs = LaurentPoly.combination(
+        (a * math.factorial(i), i, U[i]) for i, a in enumerate(row, 1)
+    )
     return LaurentPoly.x_power(2 * N, 2**N * math.factorial(N)), rhs, 1
 
 

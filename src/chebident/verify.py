@@ -92,7 +92,7 @@ from enum import Enum
 from functools import lru_cache, partial
 
 from chebident import _backend as _k
-from chebident.families import Family, _divide_exact, _rows, _scale, _taps
+from chebident.families import Family, _divide_exact, _rows, _scale
 from chebident.laurent import LaurentPoly, _extended, _require_int
 from chebident.report import ReportEntry, VerificationReport
 from chebident.triangle import _sides_defining_relation, triangle_recurrence
@@ -217,6 +217,16 @@ def _rhs(n: int, N: int, base: list) -> LaurentPoly:
     return _thm2_sums.setdefault((n, row), rhs) if shared else rhs
 
 
+@lru_cache(maxsize=None)
+def _q_taps(alpha: int, c: int, lag: int) -> tuple:
+    """(C(alpha, k) c^k, k lag) for k = 1..alpha: q(t)^alpha past its 1, q = 1 + c t^lag.
+
+    Built here, not read from `families._taps`, which filtered G: taps
+    shared by the filter and this inverse would cancel any error in them.
+    """
+    return tuple((math.comb(alpha, k) * c**k, k * lag) for k in range(1, alpha + 1))
+
+
 # (kind, alpha, c, lag) -> rows 0.. of q(t)^(-alpha) G, q = 1 + c t^lag.
 _unfiltered: dict = {}
 
@@ -233,11 +243,11 @@ def _unfilter(kind: Family, alpha: int, c: int, lag: int, n: int) -> list:
     H = _unfiltered.get(key, ())
     if len(H) > n:
         return H
-    G, taps = _rows(kind, alpha, n), _taps(alpha, c, 0, lag)[1:]
+    G, taps = _rows(kind, alpha, n), _q_taps(alpha, c, lag)
 
     def step(H, m):
         return LaurentPoly.combination(
-            [(1, 0, G[m])] + [(-coef, 0, H[m - back]) for coef, _, back in taps if back <= m]
+            [(1, 0, G[m])] + [(-coef, 0, H[m - back]) for coef, back in taps if back <= m]
         )
 
     H = _unfiltered[key] = _extended(H, n, step)

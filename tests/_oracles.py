@@ -6,6 +6,9 @@ written separately from the routes they check:
 
   * `a1_closed` and `a_closed`, the closed forms of the coefficient
     triangle, against `triangle_recurrence`, which is normative;
+  * `p_row`, the integer numerator P_i of F^(i) = P_i / D^(i+1) in
+    u = x - t and c = 1 - x^2, whose weight-homogeneity the defining
+    relation's Bernstein argument rests on;
   * `double_factorial` and `falling_factorial`, the scalars they use;
   * `explicit_T`, the closed form of the classical first-kind polynomial,
     and `ode_residual`, the differential equations of T and U, against
@@ -218,6 +221,23 @@ def a_closed(i: int, N: int) -> int:
             f"closed form for a_{i}({N}) evaluated to {total}, expected a positive integer"
         )
     return int(total)
+
+
+def p_row(i: int) -> tuple:
+    """P_i of F^(i) = P_i / D^(i+1), D = 1 - 2xt + t^2, in u = x - t and c = 1 - x^2.
+
+    D = u^2 + c and d/dt = -d/du, so P_i is homogeneous of weight i (u of
+    weight 1, c of weight 2): entry k is the integer coefficient of
+    u^(i-2k) c^k.  With c = b^2, 1/D is the imaginary part of
+    1/(b (u - ib)), so differentiating i times in t gives the closed form
+
+        P_i[k] = i! (-1)^k C(i+1, 2k+1)       (0 <= k <= i/2).
+    """
+    _require_int("i", i)
+    if i < 0:
+        raise ValueError(f"i must be >= 0, got {i}")
+    f = math.factorial(i)
+    return tuple(f * (-1) ** k * math.comb(i + 1, 2 * k + 1) for k in range(i // 2 + 1))
 
 
 # -- the first and second kinds -------------------------------------------------

@@ -6,11 +6,12 @@ Gegenbauer recurrence behind `family_polys`, and `series.gf_expand`, which
 expands q(t)^alpha (1 - 2xt + t^2)^(-lambda) from the explicit Gegenbauer
 sum and reads no family rows.
 
-The last tests pin the defining relation's integer P-rows in u = x - t,
-c = 1 - x^2 against sympy's t-derivatives of 1/D, and are symbolic
-proofs: the induction step and base case of the defining relation for
-every N and lambda (see triangle.py), and the one-term Bessel form of
-a_i(N) for every N.
+The last tests pin the P-rows of tests/_oracles.py in u = x - t,
+c = 1 - x^2, and the t = 0 values i! U_i that the defining relation reads,
+against sympy's t-derivatives of 1/D, and are symbolic proofs: the
+induction step and base case of the defining relation for every N and
+lambda (see triangle.py), and the one-term Bessel form of a_i(N) for
+every N.
 """
 
 import functools
@@ -20,7 +21,8 @@ import pytest
 
 from chebident.families import Family, FamilySpec, _rows, family_polys
 from chebident.series import gf_expand
-from chebident.triangle import _p_rows
+
+from _oracles import p_row
 
 sympy = pytest.importorskip("sympy")
 
@@ -132,12 +134,22 @@ def test_chain_rule_derivatives():
 
 
 def test_p_rows_are_the_derivatives_of_one_over_D():
-    # The builder's integer P-rows, in u = x - t and c = 1 - x^2, against
-    # sympy's own t-derivatives: d^i/dt^i (1/D) = P_i(x - t, 1 - x^2) / D^(i+1).
+    # The closed-form P-rows, homogeneous of weight i in u = x - t and
+    # c = 1 - x^2, against sympy's own t-derivatives:
+    # d^i/dt^i (1/D) = P_i(x - t, 1 - x^2) / D^(i+1).
     u, c, D_xt = X - T, 1 - X**2, 1 - 2 * X * T + T**2
-    for i, row in enumerate(_p_rows(8), 1):
-        P_i = sum(p * u ** (i - 2 * k) * c**k for k, p in enumerate(row))
+    for i in range(1, 9):
+        P_i = sum(p * u ** (i - 2 * k) * c**k for k, p in enumerate(p_row(i)))
         assert sympy.cancel(sympy.diff(1 / D_xt, T, i) - P_i / D_xt ** (i + 1)) == 0, i
+
+
+def test_derivatives_of_one_over_D_at_zero_are_U_rows():
+    # What the defining relation reads at t = 0: D = 1 there, so
+    # P_i = d^i/dt^i (1/D) = i! U_i(x).
+    D_xt = 1 - 2 * X * T + T**2
+    for i in range(13):
+        at_zero = sympy.diff(1 / D_xt, T, i).subs(T, 0)
+        assert sympy.expand(at_zero - sympy.factorial(i) * sympy.chebyshevu(i, X)) == 0, i
 
 
 def test_defining_relation_induction_step():

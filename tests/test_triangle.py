@@ -1,5 +1,4 @@
 import math
-import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -8,6 +7,7 @@ from itertools import product
 import pytest
 
 from chebident import _backend, triangle, verify
+from chebident.families import Family
 from chebident.laurent import LaurentPoly
 from chebident.series import gf_expand
 from chebident.triangle import Triangle, triangle_recurrence, verify_defining_relation
@@ -247,9 +247,8 @@ class TestDefiningRelation:
         assert verify_defining_relation(N, 3 * N).passed
 
     def test_combinations_grow_linearly_in_N(self, monkeypatch):
-        # The right side is built on integer lists in u = x - t and
-        # c = 1 - x^2, and only its t^0 coefficient becomes a polynomial,
-        # in one constructor call, so a passing cell makes no combination.
+        # The right side is one weighted sum over U's kept rows, so a cell
+        # makes exactly one combination, whatever N.
         combination = LaurentPoly.combination.__func__
         calls = []
 
@@ -261,7 +260,16 @@ class TestDefiningRelation:
         for N in range(1, 17):
             calls.clear()
             assert verify_defining_relation(N, 3 * N).passed
-            assert calls == [], (N, len(calls))
+            assert len(calls) == 1, (N, len(calls))
+
+    def test_sides_are_thm2_at_n_zero(self):
+        # The t^0 coefficients of E_N are thm2's (0, N) cell times x^(2N).
+        for N in range(1, 41):
+            lhs, rhs, d = triangle._sides_defining_relation(N, 3 * N)
+            thm2_lhs, thm2_rhs, _ = verify._sides_thm2(0, N)
+            scale = LaurentPoly.x_power(2 * N)
+            assert d == 1
+            assert (lhs, rhs) == (scale * thm2_lhs, scale * thm2_rhs), N
 
     def test_work_does_not_depend_on_order(self):
         # The certificate is a degree-2N polynomial identity; order only
@@ -280,66 +288,18 @@ class TestDefiningRelation:
         for N in range(1, 9):
             assert verify_defining_relation(N, 80).passed
 
-    def test_p_rows_match_the_step(self):
-        # The closed form against the step it replaced: in u-powers j,
-        # P_i = -P_(i-1)' D + 2i u P_(i-1) (' = d/du) adds (2i-j) P_(i-1)[j]
-        # to P_i[j+1] and subtracts j P_(i-1)[j] from P_i[j-1].
-        P = [1]
-        for i, row in enumerate(triangle._p_rows(60), 1):
-            nxt = [0] * (i // 2 + 1)
-            for k, p in enumerate(P):
-                j = i - 1 - 2 * k
-                nxt[k] += (2 * i - j) * p
-                if j:
-                    nxt[k + 1] -= j * p
-            P = nxt
-            assert list(row) == P, i
-
-    def test_p_rows_are_kept_tuples(self):
-        # Built once for every N and shared: no cell can change a row in place.
-        for a, b in zip(triangle._p_rows(8), triangle._p_rows(12)):
-            assert type(a) is tuple and a is b
-
-    def test_taylor_shift_matches_the_binomial_sum(self, monkeypatch):
-        # The in-place shift against the comb/pow sum it replaced, on the
-        # Horner sums of every N <= 60 and on fixed integer vectors.
-        def oracle(r):
-            n = len(r)
-            return [
-                sum((-1) ** (s - j) * math.comb(s, j) * r[s] for s in range(j, n))
-                for j in range(n)
-            ]
-
-        shift = triangle._taylor_shift
-        seen = []
-
-        def recording(r):
-            seen.append(list(r))
-            return shift(r)
-
-        monkeypatch.setattr(triangle, "_taylor_shift", recording)
-        for N in range(1, 61):
-            assert verify_defining_relation(N, 3 * N).passed
-        assert [len(r) for r in seen] == list(range(1, 61))
-        rng = random.Random(30)
-        seen += [[rng.randint(-(10**40), 10**40) for _ in range(N)] for N in range(61)]
-        seen += [[1] * 60, [(-2) ** s for s in range(60)]]
-        for r in seen:
-            expected = oracle(r)
-            assert shift(r) == expected, len(r)
-
     @pytest.mark.parametrize("N", range(1, 9))
-    def test_perturbed_p_row_fails(self, N, monkeypatch):
-        # Every entry of every P_i the cell reads is load-bearing: a_i(N) > 0,
-        # so a change of P_i[k] changes E_N, and its t^0 coefficient shows it.
-        rows = list(triangle._p_rows(N))
-        cases = [(i, k) for i, row in enumerate(rows) for k in range(len(row))]
-        for (i, k), delta in product(cases, (1, -3)):
-            bad = [list(row) for row in rows]
-            bad[i][k] += delta
-            monkeypatch.setattr(triangle, "_p_rows", lambda n, bad=bad: iter(bad[:n]))
+    def test_perturbed_U_row_fails(self, N, monkeypatch):
+        # Every coefficient of every U_i the cell reads is load-bearing:
+        # a_i(N) i! > 0, so a change of U_i's coefficient changes R'.
+        rows = triangle._rows(Family.U, 1, N)[: N + 1]
+        cases = [(i, e) for i in range(1, N + 1) for e in rows[i].terms]
+        for (i, e), delta in product(cases, (1, -3)):
+            bad = list(rows)
+            bad[i] = rows[i] + LaurentPoly.x_power(e, delta)
+            monkeypatch.setattr(triangle, "_rows", lambda kind, alpha, n, bad=bad: bad)
             entry = verify_defining_relation(N, 3 * N)
-            assert not entry.passed, (i + 1, k, delta)
+            assert not entry.passed, (i, e, delta)
             assert not entry.residual.is_zero()
 
     def test_perturbed_row_fails(self, monkeypatch):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -8,7 +9,7 @@ from functools import lru_cache, partial
 import pytest
 from hypothesis import given, strategies as st
 
-from chebident import families, triangle, verify
+from chebident import families, verify
 from chebident.families import Family, FamilySpec, family_poly, family_polys
 from chebident.laurent import LaurentPoly
 from chebident.triangle import Triangle, triangle_recurrence, verify_defining_relation
@@ -407,6 +408,24 @@ class TestVandermondeCollapse:
         failed = {e.identity for e in report.entries if not e.passed}
         assert failed >= {identity.value for identity in changed}
 
+    def test_filter_taps_are_not_the_unfilter_taps(self, monkeypatch):
+        # families._taps with C(alpha, 1) raised by one: V's and T~'s rows
+        # are built with it, and W's are V's reflected.  `_unfilter` builds
+        # q(t)^alpha's coefficients itself: were they read from
+        # `families._taps`, filter and inverse would cancel the mutant and
+        # every cell below would pass.
+        _cold_caches(monkeypatch)
+        monkeypatch.setattr(families, "comb", lambda n, k: math.comb(n, k) + (k == 1))
+        families._taps.cache_clear()
+        try:
+            report = run_suite([IdentityId.THM5, IdentityId.THM6, IdentityId.THM7], 16, 6)
+        finally:
+            families._taps.cache_clear()
+        failed = Counter(e.identity for e in report.entries if not e.passed)
+        # thm7's (N, n) = (1, 0) reads T~ rows 0 and 1 only, which q = 1 - t^2
+        # leaves alone, so that one cell passes.
+        assert failed == {"thm5": 102, "thm6": 102, "thm7": 101}
+
     def test_perturbed_triangle_fails(self, monkeypatch):
         rows = triangle_recurrence(3).rows
         bad = Triangle(rows[:1] + ((rows[1][0] + 1, rows[1][1]),) + rows[2:])
@@ -426,7 +445,6 @@ def _cold_caches(monkeypatch) -> None:
     ):
         monkeypatch.setattr(module, store, {})
     verify._legendre_convolution.cache_clear()
-    triangle._p_row.cache_clear()
 
 
 def convolution_reference(f, g, n):
