@@ -32,9 +32,10 @@ series oracle filters W by its own (1+t)^alpha, so it still checks this.
 `_rows` is the one row store: integer rows for every kind and order, row
 m scaled by s^m, where s = `_scale(kind, alpha)` is 2 for half-integer
 lambda (Legendre at odd alpha) and 1 otherwise.  `family_poly` and
-`family_polys` are the only code that divides by s^m, so rationals appear
-only in the public Legendre rows at odd alpha; `verify` convolves the
-integer rows and carries s^n as a denominator.
+`family_polys` divide by s^m with `LaurentPoly /` (this module imports no
+`fractions`), so rationals appear only in the public Legendre rows at odd
+alpha; `verify` convolves the integer rows and carries s^n as a
+denominator.
 
 T_gf and T_classical are deliberately separate families: mixing them up
 shifts every identity by factors of 2.  FamilySpec allows T_classical at
@@ -50,7 +51,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb
 
@@ -102,16 +102,6 @@ _TABLE = {
 }
 
 _cache: dict[tuple[Family, int], list[LaurentPoly]] = {}
-
-
-def _divide_exact(p: LaurentPoly, m: int, what: str) -> LaurentPoly:
-    """p / m for an integer polynomial p; a remainder raises, it is never rounded."""
-    quotient = {}
-    for e, c in p.terms.items():
-        quotient[e], r = divmod(c, m)
-        if r:
-            raise ArithmeticError(f"{what}: {c} x^{e} is not divisible by {m}")
-    return LaurentPoly._raw(quotient)
 
 
 def _gegenbauer_row(a: int, rows: list, m: int) -> LaurentPoly:
@@ -188,17 +178,6 @@ def _rows(kind: Family, alpha: int, n: int) -> list[LaurentPoly]:
     return rows
 
 
-def _divided(row: LaurentPoly, d: int) -> LaurentPoly:
-    """row / d, sharing ``row`` itself when d = 1; exact quotients stay int."""
-    if d == 1:
-        return row
-    quotient = {}
-    for e, c in row._terms.items():
-        q, r = divmod(c, d)
-        quotient[e] = Fraction(c, d) if r else q
-    return LaurentPoly._raw(quotient)
-
-
 def family_poly(spec: FamilySpec, n: int) -> LaurentPoly:
     """Degree-n member of the family, always a true polynomial."""
     _require_int("n", n)
@@ -206,7 +185,8 @@ def family_poly(spec: FamilySpec, n: int) -> LaurentPoly:
         raise ValueError(f"polynomial index must be >= 0, got {n}")
     if not isinstance(spec, FamilySpec):
         spec = FamilySpec(spec)
-    return _divided(_rows(spec.kind, spec.alpha, n)[n], _scale(spec.kind, spec.alpha) ** n)
+    row, s = _rows(spec.kind, spec.alpha, n)[n], _scale(spec.kind, spec.alpha)
+    return row if s == 1 else row / s**n
 
 
 def family_polys(spec: FamilySpec, n_max: int) -> list[LaurentPoly]:
@@ -218,4 +198,4 @@ def family_polys(spec: FamilySpec, n_max: int) -> list[LaurentPoly]:
         spec = FamilySpec(spec)
     s = _scale(spec.kind, spec.alpha)
     rows = _rows(spec.kind, spec.alpha, n_max)
-    return [_divided(rows[m], s**m) for m in range(n_max + 1)]
+    return rows[: n_max + 1] if s == 1 else [rows[m] / s**m for m in range(n_max + 1)]

@@ -4,6 +4,8 @@ A `LaurentPoly` is a finite sum of integer powers of x, negative exponents
 allowed, with exact rational coefficients.  The term map is kept canonical
 (no zero coefficients), so equality is plain structural equality of the
 map - the verification layer's pass/fail test needs no tolerance.
+Division by a scalar, `p / d`, is exact: a quotient coefficient is an
+int where it is integral, else a Fraction.
 
 Values are immutable: every operation returns a new polynomial, and
 instances are safe to share between threads.
@@ -153,7 +155,11 @@ class LaurentPoly:
         if _is_scalar(other):
             if other == 0:
                 raise ZeroDivisionError("division of a polynomial by zero")
-            return LaurentPoly._raw(_k.scale_terms(self._terms, Fraction(1) / other))
+            quotient = {}
+            for e, c in self._terms.items():
+                q, r = divmod(c, other)
+                quotient[e] = Fraction(c, other) if r else q
+            return LaurentPoly._raw(quotient)
         return NotImplemented
 
     # -- equality / hashing --------------------------------------------------

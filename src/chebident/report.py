@@ -32,6 +32,18 @@ class ReportEntry(
     __slots__ = ()
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer writes it: quoted if it holds , " \\r or \\n."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _names(entries, encode) -> dict:
+    """identity name -> encode(name), each distinct name encoded once."""
+    return {name: encode(name) for name in {e.identity for e in entries}}
+
+
 def _ms(entry: ReportEntry, timings: bool):
     """Milliseconds to the microsecond when timings are requested, else the literal 0."""
     return round(entry.elapsed_ms, 3) if timings else 0
@@ -97,25 +109,22 @@ class VerificationReport:
         # is imported only here, which keeps it off the CLI's import path.
         from json import dumps
 
-        names: dict = {}
-        rows = []
-        for e in self.entries:
-            name = names.get(e.identity)
-            if name is None:
-                name = names[e.identity] = dumps(e.identity)
-            rows.append(
-                f'{{"identity":{name},"n":{e.n},"N":{e.N},'
-                f'"pass":{"true" if e.passed else "false"},'
-                f'"residual":"{e.residual}","ms":{_ms(e, timings)}}}'
-            )
+        names = _names(self.entries, dumps)
+        rows = [
+            f'{{"identity":{names[e.identity]},"n":{e.n},"N":{e.N},'
+            f'"pass":{"true" if e.passed else "false"},'
+            f'"residual":"{e.residual}","ms":{_ms(e, timings)}}}'
+            for e in self.entries
+        ]
         return "[" + ",".join(rows) + "]\n"
 
     def render_csv(self, timings: bool = False) -> str:
-        # No field can hold a comma, a quote or a line break (identity names,
-        # ints, true/false, LaurentPoly text, the ms number), so none is quoted.
+        # Only an identity name can hold a comma, a quote or a line break,
+        # so each distinct name is quoted once, where it needs it.
+        names = _names(self.entries, _csv_field)
         lines = ["identity,n,N,pass,residual,ms"]
         lines.extend(
-            f"{e.identity},{e.n},{e.N},{'true' if e.passed else 'false'},"
+            f"{names[e.identity]},{e.n},{e.N},{'true' if e.passed else 'false'},"
             f"{e.residual},{_ms(e, timings)}"
             for e in self.entries
         )

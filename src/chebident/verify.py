@@ -4,13 +4,14 @@ Every identity in the catalog is built as two exact Laurent polynomials
 in x with integer coefficients, L' and R', and one positive integer d:
 the left- and right-hand sides are L'/d and R'/d.  A cell passes when L'
 and R' are structurally equal, so the residual LHS - RHS = (L' - R')/d is
-literally the zero polynomial; only a failing cell builds it, the only
-rational here.  The sides are assembled from the integer rows of
-`families._rows`, whose list per (kind, order) a cell fetches once and
-reads by index, and one convolution, `_convolution`, which
-accumulates all of its products in one term map and prunes it once.  The
-defining relation's sides are its t^0 coefficients, which decide it (see
-`triangle`).  The denominators are
+literally the zero polynomial; only a failing cell builds it, with
+`LaurentPoly /`, which `_legendre_selfconv` also divides cor4's bases by.
+A wrong row fails the cells that read it; nothing raises.  The sides are
+assembled from the integer rows of `families._rows`, whose list per
+(kind, order) a cell fetches once and reads by index, and one
+convolution, `_convolution`, which accumulates all of its products in
+one term map and prunes it once.  The defining relation's sides are its
+t^0 coefficients, which decide it (see `triangle`).  The denominators are
 
   thm2, cor4, thm5, thm6   d = 2^N N!, the prefactor moved to the left
   Legendre convolutions    d = s^n over the rows r_m = s^m p_m^(a) (s = 2
@@ -92,7 +93,7 @@ from enum import Enum
 from functools import lru_cache, partial
 
 from chebident import _backend as _k
-from chebident.families import Family, _divide_exact, _rows, _scale
+from chebident.families import Family, _rows, _scale
 from chebident.laurent import LaurentPoly, _extended, _require_int
 from chebident.report import ReportEntry, VerificationReport
 from chebident.triangle import _sides_defining_relation, triangle_recurrence
@@ -158,8 +159,9 @@ def _legendre_selfconv(k: int) -> LaurentPoly:
     """sum_{j=0..k} p_j p_{k-j}; equals U_k (certified by U_from_Legendre).
 
     The rows are r_j = 2^j p_j, so their self-convolution divides by 2^k.
+    A wrong row gives a quotient unequal to U_k: the cells that read it fail.
     """
-    return _divide_exact(_legendre_convolution(1, k), 2**k, f"Legendre self-convolution {k}")
+    return _legendre_convolution(1, k) / 2**k
 
 
 # -- side builders -------------------------------------------------------------
@@ -404,7 +406,8 @@ def _certify(identity: str, **params) -> ReportEntry:
     ``params`` are the entry point's own arguments by name.  The report's
     n column holds the series order for the defining relation, and its N
     column alpha for the Legendre convolutions and 0 for the introductory
-    identity.
+    identity.  Rationals appear only in a failing cell: in its residual
+    (L' - R')/d, and in sides summed over a wrong Legendre row's bases.
     """
     _check_args(**params)
     row = _CATALOG[identity]
@@ -413,7 +416,7 @@ def _certify(identity: str, **params) -> ReportEntry:
     rhs_polynomial = rhs.is_polynomial() if row.tracks_rhs else None
     passed = lhs == rhs
     # Only a failure pays for the rationals.
-    residual = _ZERO if passed else LaurentPoly(((lhs - rhs) / d).terms)
+    residual = _ZERO if passed else (lhs - rhs) / d
     return ReportEntry(
         identity,
         params.get("n", params.get("order")),

@@ -249,13 +249,19 @@ class TestIntegerGegenbauer:
     @pytest.mark.parametrize("alpha", range(1, 10))
     def test_scaled_legendre_rows(self, alpha):
         # Half-integer lambda = alpha/2 (odd alpha): the table holds 2^m p_m^(alpha).
+        # The public rows divide it by 2^m, and a coefficient is a Fraction
+        # only where the quotient is not integral.
         rows, s = _rows(Family.LEGENDRE, alpha, 48), _scale(Family.LEGENDRE, alpha)
         assert s == (2 if alpha % 2 else 1)
         reference = gegenbauer_over_rationals(Fraction(alpha, 2), 48)
+        public = family_polys(FamilySpec(Family.LEGENDRE, alpha), 48)
         for m in range(49):
             assert rows[m] == s**m * reference[m], (alpha, m)
             assert all(type(c) is int for c in rows[m].terms.values()), (alpha, m)
-            assert rows[m] == s**m * poly(Family.LEGENDRE, m, alpha)
+            single = poly(Family.LEGENDRE, m, alpha)
+            assert rows[m] == s**m * single == s**m * public[m]
+            for c in [*single.terms.values(), *public[m].terms.values()]:
+                assert type(c) is (int if c.denominator == 1 else Fraction), (alpha, m)
 
     def test_non_divisible_step_raises(self, monkeypatch):
         # 3 R_3 = 10 x R_2 - 8 R_1 on the lambda = 1/2 table; with R_2 off by

@@ -59,6 +59,24 @@ class TestBasics:
         assert p / 3 == lp({2: 1, 0: -2})
         assert p * Fraction(1, 3) == lp({2: 1, 0: -2})
 
+    def test_division_keeps_integral_quotients_int(self):
+        # p / d is exact per coefficient: an integral quotient is an int,
+        # not Fraction(k, 1), and only a remainder makes a Fraction.
+        p = lp({2: 6, 0: -4})
+
+        def typed(q):
+            return {e: (type(c), c) for e, c in q.terms.items()}
+
+        assert typed(p / 2) == {2: (int, 3), 0: (int, -2)}
+        assert typed(p / 4) == {2: (Fraction, Fraction(3, 2)), 0: (int, -1)}
+        assert typed(p / Fraction(2, 3)) == {2: (int, 9), 0: (int, -6)}
+        assert typed(lp({1: Fraction(3, 2), 0: 1}) / Fraction(1, 2)) == {
+            1: (int, 3),
+            0: (int, 2),
+        }
+        with pytest.raises(ZeroDivisionError):
+            p / 0
+
     def test_shift(self):
         assert shift(lp({2: 1, 0: 1}), -3) == lp({-1: 1, -3: 1})
         p = lp({4: 2, -2: 5})

@@ -155,30 +155,41 @@ class TestVerificationReport:
 
     @pytest.mark.parametrize("timings", [False, True])
     def test_csv_matches_the_csv_module(self, timings):
-        # render_csv joins its fields with commas and quotes none; csv.writer,
-        # which would quote a field holding a comma, a quote or a line break,
-        # must write the same bytes.
+        # render_csv joins its fields with commas and quotes only a name
+        # that needs it; csv.writer, which quotes a field holding a comma,
+        # a quote or a line break, must write the same bytes, row for row.
         residuals = [
             LaurentPoly({-3: Fraction(-5, 4), 0: 2, 2: Fraction(1, 3)}),
             LaurentPoly({-1: -7}),
             LaurentPoly.zero(),
+            LaurentPoly({1: 3}),
+            LaurentPoly({0: -1}),
+            LaurentPoly.zero(),
         ]
+        names = ["thm7", 'a,b"c', "line\nbreak", "carriage\rreturn", '"', "thm7"]
         entries = [
-            ReportEntry("thm7", n, 2, r.is_zero(), r, None, 0.1234567 * (n + 1))
+            ReportEntry(names[n], n, 2, r.is_zero(), r, None, 0.1234567 * (n + 1))
             for n, r in enumerate(residuals)
         ]
         entries += run_suite(["thm7"], 3, 2, first_kind="classical").entries
         assert any(not e.residual.is_polynomial() for e in entries)
-        reference = io.StringIO()
-        writer = csv.writer(reference, lineterminator="\n")
-        writer.writerow(["identity", "n", "N", "pass", "residual", "ms"])
+        rows = [["identity", "n", "N", "pass", "residual", "ms"]]
         for e in entries:
             ms = round(e.elapsed_ms, 3) if timings else 0
-            writer.writerow(
+            rows.append(
                 [e.identity, e.n, e.N, "true" if e.passed else "false", str(e.residual), ms]
             )
+        reference = []
+        for row in rows:
+            # The default "\r\n" terminator, whose characters csv.writer
+            # quotes on every Python version, then render_csv's "\n".
+            line = io.StringIO()
+            csv.writer(line).writerow(row)
+            reference.append(line.getvalue().removesuffix("\r\n") + "\n")
         rendered = VerificationReport(entries).render_csv(timings)
-        assert rendered == reference.getvalue()
+        assert rendered == "".join(reference)
+        parsed = list(csv.reader(io.StringIO(rendered, newline="")))
+        assert parsed == [[str(field) for field in row] for row in rows]
         assert VerificationReport().render_csv(timings) == "identity,n,N,pass,residual,ms\n"
 
     @pytest.mark.parametrize("timings", [False, True])

@@ -9,7 +9,7 @@ from functools import lru_cache, partial
 import pytest
 from hypothesis import given, strategies as st
 
-from chebident import families, verify
+from chebident import cli, families, verify
 from chebident.families import Family, FamilySpec, family_poly, family_polys
 from chebident.laurent import LaurentPoly
 from chebident.triangle import Triangle, triangle_recurrence, verify_defining_relation
@@ -444,7 +444,23 @@ def _cold_caches(monkeypatch) -> None:
         (verify, "_unfiltered"),
     ):
         monkeypatch.setattr(module, store, {})
-    verify._legendre_convolution.cache_clear()
+    # A fresh cache in place of the kept one, so that rows a test perturbs
+    # leave no convolution behind for the tests after it.
+    fresh = lru_cache(maxsize=None)(verify._legendre_convolution.__wrapped__)
+    monkeypatch.setattr(verify, "_legendre_convolution", fresh)
+
+
+def _perturbed_rows(kind, alpha, bad, delta):
+    """verify._rows with row ``bad`` of (kind, alpha) replaced by itself + delta."""
+    rows = verify._rows
+
+    def perturbed(k, a, top):
+        got = rows(k, a, top)
+        if (k, a) != (kind, alpha) or len(got) <= bad:
+            return got
+        return got[:bad] + [got[bad] + delta] + got[bad + 1 :]
+
+    return perturbed
 
 
 def convolution_reference(f, g, n):
@@ -539,14 +555,8 @@ class TestSharedRightSide:
         # residual, and a cell reading only rows 0..2 still shares and passes
         # (run last, once the differing row is on record).
         _cold_caches(monkeypatch)
-        rows, bad, N = verify._rows, 3, 2
-
-        def perturbed(kind, alpha, top):
-            got = rows(kind, alpha, top)
-            if (kind, alpha) != (Family.V, 1):
-                return got
-            return got[:bad] + [got[bad] + LaurentPoly.one()] + got[bad + 1 :]
-
+        bad, N = 3, 2
+        perturbed = _perturbed_rows(Family.V, 1, bad, LaurentPoly.one())
         monkeypatch.setattr(verify, "_rows", perturbed)
         V = perturbed(Family.V, 1, ROWS)
         for n in reversed(range(6)):
@@ -556,6 +566,32 @@ class TestSharedRightSide:
             assert entry.passed == (n + N < bad), n
             assert entry.residual == _prefactor(N) * (true - own), n
         assert verify_thm6(4, N).passed
+
+    def test_wrong_legendre_row_fails_cor4(self, monkeypatch, capsys):
+        # r_3 + x in place of the integer Legendre row r_3 = 8 p_3: the
+        # self-convolutions from k = 3 on are no longer U's rows, and most
+        # are not integral once divided by 2^k.  The cells that read row 3
+        # (n + N >= 3) sum their own rows and fail with their residual; the
+        # rest pass, and the suite and the CLI run to the end.
+        _cold_caches(monkeypatch)
+        bad, top = 3, 8
+        perturbed = _perturbed_rows(Family.LEGENDRE, 1, bad, LaurentPoly.x_power(1))
+        monkeypatch.setattr(verify, "_rows", perturbed)
+        r = perturbed(Family.LEGENDRE, 1, top)
+        p = [Fraction(1, 2**j) * r[j] for j in range(top + 1)]
+        own = [convolution_reference(p, p, k) for k in range(top + 1)]
+        assert own[bad] != BASES["U"][bad]
+        report = run_suite([IdentityId.COR4_RECONSTRUCTED], 6, 2)
+        assert len(report.entries) == 14 and len(report.failures()) == 11
+        for e in report.entries:
+            assert e.passed == (e.n + e.N < bad), (e.N, e.n)
+            true = thm2_rhs_per_term(e.n, e.N, BASES["U"])
+            assert e.residual == true - thm2_rhs_per_term(e.n, e.N, own), (e.N, e.n)
+        _cold_caches(monkeypatch)
+        argv = ["verify", "cor4_reconstructed", "--n-max", "6", "--N-max", "2"]
+        assert cli.run(argv + ["--format", "json"]) == 1
+        out = capsys.readouterr().out
+        assert out == report.render("json") and out.count('"pass":false') == 11
 
     @pytest.mark.parametrize(
         "key", [(Family.V, -1, 1), (Family.W, 1, 1), (Family.T_GF, -1, 2), Family.LEGENDRE]
